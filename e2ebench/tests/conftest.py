@@ -1,0 +1,10 @@
+"""Import paths for the benchmark's self-tests.
+
+Run from the repository root: ``python3 -m pytest e2ebench/tests -q``.
+"""
+
+import sys
+from pathlib import Path
+
+_BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_BENCH), str(_BENCH.parent / "src")]

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 from repro.core.actions import Action, format_action
 from repro.errors import PromptError
-from repro.perf.encode_cache import encode_head_row_cached
+from repro.perf.encode_cache import (
+    decode_head_row_cached,
+    encode_head_row_cached,
+)
 from repro.table.frame import DataFrame
-from repro.table.io import decode_head_row
 
 __all__ = [
     "TranscriptStep",
@@ -275,7 +277,8 @@ def parse_prompt(prompt: str) -> ParsedPrompt:
     question = rest[:quote_end]
     after_question = rest[quote_end:]
 
-    t0 = decode_head_row(t0_text, name="T0")
+    # Memoised: every iteration's prompt re-sends the same T0..Tk texts.
+    t0 = decode_head_row_cached(t0_text, name="T0")
 
     languages: list[str] = []
     instruction_line = after_question.split("\n", 1)[0]
@@ -298,7 +301,7 @@ def parse_prompt(prompt: str) -> ParsedPrompt:
                 table_lines.append(line)
             elif table_lines:
                 break
-        current_table = decode_head_row(
+        current_table = decode_head_row_cached(
             "\n".join(table_lines), name=f"T{num_code_steps}")
 
     force_answer = prompt.rstrip().endswith(_FORCED_ANSWER_SUFFIX)

@@ -41,6 +41,20 @@ _SQLITE_TYPE = {
 }
 
 
+#: The only actions a query may compile to once the tables are loaded.
+#: Writes, schema changes, PRAGMA and ATTACH (which creates files) are
+#: denied when the statement is prepared, before it can run.
+_QUERY_ACTIONS = frozenset({sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ,
+                            sqlite3.SQLITE_FUNCTION,
+                            sqlite3.SQLITE_RECURSIVE})
+
+
+def _authorize_query(action: int, *_) -> int:
+    if action in _QUERY_ACTIONS:
+        return sqlite3.SQLITE_OK
+    return sqlite3.SQLITE_DENY
+
+
 def _quote(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
@@ -49,7 +63,8 @@ def run_sqlite_query(sql: str, tables: dict[str, DataFrame]) -> DataFrame:
     """Execute one SELECT in an in-memory SQLite database.
 
     All frames in ``tables`` are loaded so the query may reference any of
-    them.  Returns the result as a frame; raises sqlite3 errors unchanged.
+    them.  Returns the result as a frame; raises sqlite3 errors unchanged,
+    including for a statement that is not a query.
     """
     connection = sqlite3.connect(":memory:")
     try:
@@ -70,7 +85,10 @@ def run_sqlite_query(sql: str, tables: dict[str, DataFrame]) -> DataFrame:
                             for v in row)
                         for row in frame.to_rows()
                     ])
+        connection.set_authorizer(_authorize_query)
         cursor.execute(sql)
+        if cursor.description is None:  # e.g. SQL that is only a comment
+            raise sqlite3.ProgrammingError("statement returned no result set")
         columns = [desc[0] for desc in cursor.description]
         rows = [tuple(row) for row in cursor.fetchall()]
         return DataFrame.from_rows(rows, _dedupe(columns))

@@ -7,7 +7,8 @@ that do not belong to one substrate:
 * :mod:`repro.perf.fingerprint` — the single content-hash scheme shared
   by the serving answer cache and the prompt-encoding cache;
 * :mod:`repro.perf.encode_cache` — memoised ``encode_head_row`` keyed by
-  table fingerprint (``REPRO_ENCODE_CACHE=0`` disables);
+  table fingerprint and ``decode_head_row`` keyed by table text
+  (``REPRO_ENCODE_CACHE=0`` disables both);
 * :mod:`repro.perf.gate` — runs the perf benchmark suite, writes
   ``results/BENCH_perf_substrates.json`` and fails on regression.
 
@@ -18,6 +19,7 @@ The sqlengine-specific pieces (plan cache, expression compiler) live in
 from repro.perf.encode_cache import (
     DEFAULT_ENCODE_CACHE,
     EncodedTableCache,
+    decode_head_row_cached,
     encode_cache_enabled,
     encode_head_row_cached,
 )
@@ -30,4 +32,5 @@ __all__ = [
     "DEFAULT_ENCODE_CACHE",
     "encode_cache_enabled",
     "encode_head_row_cached",
+    "decode_head_row_cached",
 ]

@@ -1,13 +1,16 @@
-"""Memoised ``encode_head_row``: render each table once per content state.
+"""Memoised ``[HEAD]/[ROW]`` codec: each table text is built and read once.
 
 ReAcTable re-serialises ``T0..Tk`` into the prompt on *every* iteration
 (PAPER.md §3), so a chain with n iterations renders T0 n times, T1 n-1
-times, and so on — all of them identical.  This cache keys the rendered
-string on ``(table content digest, max_rows)`` so each distinct table
-state is encoded exactly once per process.
+times, and so on — all of them identical.  The encode side keys the
+rendered string on ``(table content digest, max_rows)`` so each distinct
+table state is encoded exactly once per process.  The model reads those
+same tables back out of every prompt; the decode side keys the decoded
+frame on the exact table text.
 
-``REPRO_ENCODE_CACHE=0`` disables the cache (every call re-encodes);
-the rate-0 check in ``repro perf`` verifies disabled ⇒ identical output.
+``REPRO_ENCODE_CACHE=0`` disables both directions (every call re-encodes
+and re-decodes); the rate-0 check in ``repro perf`` verifies disabled ⇒
+identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import OrderedDict
 
 from repro.perf.fingerprint import table_digest
 from repro.table.frame import DataFrame
-from repro.table.io import encode_head_row
+from repro.table.io import decode_head_row, encode_head_row
 from repro.telemetry.metrics import GLOBAL_REGISTRY
 
 __all__ = [
@@ -26,22 +29,33 @@ __all__ = [
     "DEFAULT_ENCODE_CACHE",
     "encode_cache_enabled",
     "encode_head_row_cached",
+    "decode_head_row_cached",
 ]
 
 
 def encode_cache_enabled() -> bool:
-    """True unless ``REPRO_ENCODE_CACHE=0`` disables encode caching."""
+    """True unless ``REPRO_ENCODE_CACHE=0`` disables the codec cache."""
     return os.environ.get("REPRO_ENCODE_CACHE", "1") != "0"
 
 
+def _lookups():
+    return GLOBAL_REGISTRY.counter(
+        "cache.lookups", "cache lookups by cache name and result")
+
+
 class EncodedTableCache:
-    """Thread-safe LRU of rendered [HEAD]/[ROW] table encodings."""
+    """Thread-safe LRUs of [HEAD]/[ROW] table texts, one per direction.
+
+    Each direction holds at most ``capacity`` entries; ``hits``,
+    ``misses`` and ``evictions`` count the encode side.
+    """
 
     def __init__(self, capacity: int = 512):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[str, int], str] = OrderedDict()
+        self._decoded: OrderedDict[str, DataFrame] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -49,8 +63,7 @@ class EncodedTableCache:
 
     def encode(self, frame: DataFrame, *, max_rows: int | None) -> str:
         key = (table_digest(frame), max_rows)
-        lookups = GLOBAL_REGISTRY.counter(
-            "cache.lookups", "cache lookups by cache name and result")
+        lookups = _lookups()
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -71,9 +84,31 @@ class EncodedTableCache:
                 self.evictions += 1
         return rendered
 
+    def decode(self, text: str, *, name: str) -> DataFrame:
+        """``decode_head_row(text)`` memoised on the exact text.
+
+        Every call returns a fresh clone named ``name``, so a caller that
+        mutates its frame never reaches the cached one.  A ``TableError``
+        propagates and leaves no entry.
+        """
+        with self._lock:
+            frame = self._decoded.get(text)
+            if frame is not None:
+                self._decoded.move_to_end(text)
+        _lookups().inc(cache="decode",
+                       result="miss" if frame is None else "hit")
+        if frame is None:
+            frame = decode_head_row(text)
+            with self._lock:
+                self._decoded[text] = frame
+                while len(self._decoded) > self.capacity:
+                    self._decoded.popitem(last=False)
+        return frame.with_name(name)
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._decoded.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0
@@ -87,6 +122,7 @@ class EncodedTableCache:
             total = self.hits + self.misses
             return {
                 "size": len(self._entries),
+                "decoded": len(self._decoded),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -104,3 +140,10 @@ def encode_head_row_cached(frame: DataFrame, *, max_rows: int | None) -> str:
     if not encode_cache_enabled():
         return encode_head_row(frame, max_rows=max_rows)
     return DEFAULT_ENCODE_CACHE.encode(frame, max_rows=max_rows)
+
+
+def decode_head_row_cached(text: str, *, name: str) -> DataFrame:
+    """``decode_head_row`` memoised through :data:`DEFAULT_ENCODE_CACHE`."""
+    if not encode_cache_enabled():
+        return decode_head_row(text, name=name)
+    return DEFAULT_ENCODE_CACHE.decode(text, name=name)

@@ -4,8 +4,9 @@ Two jobs, both runnable without pytest:
 
 1. **Correctness smoke** (rate-0-style): with every optimisation disabled
    the engine must produce *identical* results — compiled vs interpreted
-   SQL, encode cache on vs off, plan cache on vs off.  This is the check
-   ``repro perf`` runs as a tier-1-adjacent smoke.
+   SQL, encode cache on vs off (rendered tables and parsed prompts), plan
+   cache on vs off.  This is the check ``repro perf`` runs as a
+   tier-1-adjacent smoke.
 
 2. **Timing gate**: measure the optimised path against its disabled
    counterpart (same process, same machine, back to back), enforce the
@@ -27,6 +28,13 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.core.actions import Action, ActionKind
+from repro.core.prompt import (
+    PromptBuilder,
+    Transcript,
+    TranscriptStep,
+    parse_prompt,
+)
 from repro.perf.encode_cache import (
     DEFAULT_ENCODE_CACHE,
     encode_head_row_cached,
@@ -168,6 +176,25 @@ def _run_or_error(sql: str, catalog) -> tuple:
         return ("error", type(exc).__name__, str(exc))
 
 
+def _chain_prompts(frame: DataFrame) -> list[str]:
+    """The prompts of a chain over ``frame``: T0, then two intermediates."""
+    builder, catalog = PromptBuilder(), {"T0": frame}
+    transcript = Transcript(frame, "which bucket holds the most rows?")
+    prompts = [builder.build(transcript)]
+    for sql in ("SELECT bucket, value FROM T0 WHERE value > 5000",
+                "SELECT bucket, COUNT(*) FROM T0 GROUP BY bucket"):
+        transcript.steps.append(TranscriptStep(
+            Action(ActionKind.SQL, sql), execute_sql(sql, catalog)))
+        prompts.append(builder.build(transcript))
+    return prompts
+
+
+def _parsed(prompts: list[str]) -> list[tuple]:
+    """Every ``parse_prompt`` field, frame names included."""
+    return [(parsed, parsed.t0.name, parsed.current_table.name)
+            for parsed in map(parse_prompt, prompts)]
+
+
 def run_checks() -> list[str]:
     """Optimisations-off must equal optimisations-on.  Returns failures."""
     failures: list[str] = []
@@ -208,6 +235,13 @@ def run_checks() -> list[str]:
     if encode_head_row_cached(mutated, max_rows=50) == warm:
         failures.append("encode cache returned stale rendering "
                         "after mutation")
+
+    prompts = _chain_prompts(frame)
+    with _env("REPRO_ENCODE_CACHE", "0"):
+        undecoded = _parsed(prompts)
+    DEFAULT_ENCODE_CACHE.clear()
+    if not (undecoded == _parsed(prompts) == _parsed(prompts)):
+        failures.append("decode memo changed a parsed prompt")
     return failures
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -40,19 +41,35 @@ __all__ = [
 NULL_TOKEN = "NULL"
 
 
+#: ``str.splitlines`` breaks a line at each of these characters.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+#: One pass over a cell: escape ``\`` and ``|``, and fold every line break
+#: to a space so a cell can never split its codec line.
+_CELL_ESCAPES = str.maketrans(
+    {"\\": "\\\\", "|": "\\|", **dict.fromkeys(_LINE_BREAKS, " ")})
+#: Most cells hold none of those characters and skip the translation.
+_NEEDS_ESCAPE = re.compile(
+    "[" + re.escape("\\|" + _LINE_BREAKS) + "]").search
+
+
 def _encode_cell(value) -> str:
-    if is_missing(value):
-        return NULL_TOKEN
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float) and value.is_integer():
-        return f"{value:.1f}"  # keep the trailing .0 so REAL round-trips
-    text = str(value)
-    return text.replace("\\", "\\\\").replace("|", "\\|").replace("\n", " ")
+    if type(value) is int:  # the commonest cell: nothing to check or escape
+        return str(value)
+    if type(value) is not str:
+        if is_missing(value):
+            return NULL_TOKEN
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float) and value.is_integer():
+            return f"{value:.1f}"  # keep the trailing .0 so REAL round-trips
+        value = str(value)
+    return value.translate(_CELL_ESCAPES) if _NEEDS_ESCAPE(value) else value
 
 
 def _split_row(text: str) -> list[str]:
     """Split a codec line on unescaped pipes and unescape the cells."""
+    if "\\" not in text:
+        return text.split("|")
     cells, current, i = [], [], 0
     while i < len(text):
         char = text[i]
@@ -79,6 +96,11 @@ def parse_literal(text: str):
         return True
     if lowered == "false":
         return False
+    # A number starts with a sign, a digit, a point, "inf" or "nan"; any
+    # other letter first rules out both conversions below.
+    first = text[:1]
+    if first.isalpha() and first not in "iInN":
+        return text
     try:
         return int(text)
     except ValueError:
@@ -96,14 +118,14 @@ def encode_head_row(frame: DataFrame, *, max_rows: int | None = None) -> str:
     ``max_rows`` truncates the body (the header always appears); the prompt
     builder uses it to keep large tables inside the context budget.
     """
-    lines = ["[HEAD]:" + "|".join(
-        _encode_cell(name) for name in frame.columns)]
+    names = frame.columns
+    lines = ["[HEAD]:" + "|".join(map(_encode_cell, names))]
     total = frame.num_rows
     shown = total if max_rows is None else min(max_rows, total)
-    for index in range(shown):
-        cells = "|".join(
-            _encode_cell(frame.cell(index, name)) for name in frame.columns)
-        lines.append(f"[ROW] {index + 1}: {cells}")
+    columns = [map(_encode_cell, frame.column(name).values[:shown])
+               for name in names]
+    lines.extend(f"[ROW] {index}: {'|'.join(cells)}"
+                 for index, cells in enumerate(zip(*columns), 1))
     if shown < total:
         lines.append(f"[...] ({total - shown} more rows)")
     return "\n".join(lines)
@@ -134,7 +156,7 @@ def decode_head_row(text: str, *, name: str = "",
                 raise TableError(
                     f"row has {len(cells)} cells, header has {len(header)}")
             if parse_values:
-                rows.append(tuple(parse_literal(cell) for cell in cells))
+                rows.append(tuple(map(parse_literal, cells)))
             else:
                 rows.append(tuple(cells))
             continue

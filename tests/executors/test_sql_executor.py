@@ -135,3 +135,52 @@ class TestBackends:
         outcome = SQLExecutor("sqlite").execute(
             "SELECT x FROM T0", [frame])
         assert outcome.table.to_rows() == [(1,)]
+
+
+class TestNonQueryStatements:
+    """Only queries run; anything else ends in the Section 3.3 handling."""
+
+    STATEMENTS = [
+        "/* x */",
+        "-- only a comment",
+        "PRAGMA table_info(T0)",
+        "CREATE TABLE scratch (a INTEGER)",
+        "DELETE FROM T0",
+        "ATTACH DATABASE '{path}' AS x",
+    ]
+
+    @pytest.mark.parametrize("statement", STATEMENTS)
+    def test_ends_as_sql_execution_error(self, executor, history,
+                                         statement, tmp_path):
+        sql = statement.format(path=tmp_path / "attached.db")
+        with pytest.raises(SQLExecutionError):
+            executor.execute(sql, history)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_denied_write_leaves_the_table_intact(self, history):
+        executor = SQLExecutor("sqlite")
+        with pytest.raises(SQLExecutionError):
+            executor.execute("DELETE FROM T0", history)
+        outcome = executor.execute("SELECT COUNT(*) FROM T0", history)
+        assert outcome.table.to_rows() == [(4,)]
+
+    def test_queries_still_run(self, executor, history):
+        joined = executor.execute(
+            "SELECT T0.Rank, T1.Points FROM T0 JOIN T1 "
+            "ON T0.Cyclist = T1.Cyclist WHERE T1.Points > 25 "
+            "ORDER BY T0.Rank", history)
+        assert joined.table.to_rows() == [(1, 40), (2, 30)]
+        grouped = executor.execute(
+            "SELECT COUNT(*), MAX(Points) FROM T1", history)
+        assert grouped.table.to_rows() == [(4, 40)]
+
+    def test_sqlite_still_runs_ctes(self, history):
+        executor = SQLExecutor("sqlite")
+        outcome = executor.execute(
+            "WITH top AS (SELECT Cyclist FROM T1 WHERE Points >= 30) "
+            "SELECT COUNT(*) FROM top", history)
+        assert outcome.table.to_rows() == [(2,)]
+        recursive = executor.execute(
+            "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL "
+            "SELECT x + 1 FROM n WHERE x < 3) SELECT x FROM n", history)
+        assert recursive.table.to_rows() == [(1,), (2,), (3,)]

@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.errors import TableError
 from repro.perf import (
+    DEFAULT_ENCODE_CACHE,
     EncodedTableCache,
+    decode_head_row_cached,
     encode_cache_enabled,
     encode_head_row_cached,
 )
-from repro.table import DataFrame, encode_head_row
+from repro.table import DataFrame, decode_head_row, encode_head_row
+from repro.telemetry.metrics import GLOBAL_REGISTRY
 
 
 def _frame() -> DataFrame:
@@ -85,3 +89,82 @@ class TestEncodedTableCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             EncodedTableCache(capacity=0)
+
+
+class TestDecodeHeadRowCached:
+    """The decode side: memoised by exact text, invisible to callers."""
+
+    TEXT = encode_head_row(_frame(), max_rows=None)
+
+    @pytest.fixture(autouse=True)
+    def _empty_default_cache(self):
+        DEFAULT_ENCODE_CACHE.clear()
+        yield
+        DEFAULT_ENCODE_CACHE.clear()
+
+    @staticmethod
+    def _decode_lookups(result):
+        return GLOBAL_REGISTRY.counter("cache.lookups").value(
+            cache="decode", result=result)
+
+    def test_matches_direct_decoding(self):
+        for _ in range(2):
+            decoded = decode_head_row_cached(self.TEXT, name="T0")
+            assert decoded == decode_head_row(self.TEXT)
+        assert self._decode_lookups("miss") == 1
+        assert self._decode_lookups("hit") == 1
+
+    def test_mutating_a_returned_frame_leaves_the_memo_intact(self):
+        first = decode_head_row_cached(self.TEXT, name="T0")
+        first["pop"] = [0, 0, 0]
+        first["extra"] = ["x", "y", "z"]
+        second = decode_head_row_cached(self.TEXT, name="T0")
+        assert self._decode_lookups("hit") == 1
+        assert second == decode_head_row(self.TEXT)
+        assert second.columns == ["city", "pop"]
+
+    def test_each_decode_carries_its_own_name(self):
+        as_t0 = decode_head_row_cached(self.TEXT, name="T0")
+        as_t2 = decode_head_row_cached(self.TEXT, name="T2")
+        assert (as_t0.name, as_t2.name) == ("T0", "T2")
+        assert as_t0 == as_t2
+        assert DEFAULT_ENCODE_CACHE.stats()["decoded"] == 1
+
+    def test_malformed_text_raises_every_time_and_is_not_kept(self):
+        malformed = "[HEAD]:a|b\n[ROW] 1: only-one-cell"
+        for _ in range(2):
+            with pytest.raises(TableError):
+                decode_head_row_cached(malformed, name="T0")
+        assert self._decode_lookups("miss") == 2
+        assert DEFAULT_ENCODE_CACHE.stats()["decoded"] == 0
+
+    def test_disabled_bypasses_the_memo(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENCODE_CACHE", "0")
+        decoded = decode_head_row_cached(self.TEXT, name="T1")
+        assert decoded == decode_head_row(self.TEXT)
+        assert decoded.name == "T1"
+        assert DEFAULT_ENCODE_CACHE.stats()["decoded"] == 0
+        assert self._decode_lookups("miss") == 0
+
+    def test_clear_empties_both_directions(self):
+        cache = EncodedTableCache()
+        cache.encode(_frame(), max_rows=None)
+        cache.decode(self.TEXT, name="T0")
+        cache.clear()
+        stats = cache.stats()
+        assert (len(cache), stats["decoded"]) == (0, 0)
+        cache.decode(self.TEXT, name="T0")
+        assert self._decode_lookups("miss") == 2
+
+    def test_decode_side_evicts_at_capacity(self):
+        cache = EncodedTableCache(capacity=2)
+        texts = [encode_head_row(DataFrame({"a": [i]}), max_rows=None)
+                 for i in range(3)]
+        for text in texts:
+            cache.decode(text, name="T0")
+        assert cache.stats()["decoded"] == 2
+        cache.decode(texts[2], name="T0")        # most recent: kept
+        assert self._decode_lookups("hit") == 1
+        cache.decode(texts[0], name="T0")        # least recent: evicted
+        assert self._decode_lookups("miss") == 4
+        assert cache.stats()["decoded"] == 2

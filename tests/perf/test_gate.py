@@ -2,7 +2,9 @@
 
 import json
 
+from repro.perf.encode_cache import EncodedTableCache
 from repro.perf.gate import main, run_checks, run_gate
+from repro.table.io import decode_head_row
 
 
 class TestRunChecks:
@@ -65,3 +67,11 @@ class TestMain:
         assert code == 0
         assert "native_group_aggregate" in out
         assert "prompt_encode_repeat" in out
+
+
+class TestDecodeParityCheck:
+    def test_flags_a_decode_memo_that_drops_frame_names(self, monkeypatch):
+        monkeypatch.setattr(
+            EncodedTableCache, "decode",
+            lambda self, text, *, name: decode_head_row(text))
+        assert run_checks() == ["decode memo changed a parsed prompt"]

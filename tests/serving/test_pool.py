@@ -1,11 +1,13 @@
 """Tests for the worker pool: correctness, caching, coalescing, policy."""
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
 from repro.core import ReActTableAgent
+from repro.datasets.spec import QuestionBank
 from repro.errors import ServingError, TransientModelError
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
@@ -379,3 +381,28 @@ class TestPoolTracing:
         assert kinds["serving_timeout"] == 2
         assert kinds["serving_retry"] == 1
         assert kinds["serving_degraded"] == 1
+
+
+class TestLineBreakCells:
+    def test_a_carriage_return_in_a_cell_is_answered(self, wikitq_small):
+        # Windows CSVs carry "\r"; the prompt codec folds it (and every
+        # other line break) to a space, so the model's decode of T0 and
+        # of each intermediate table still sees one row per line.
+        example = wikitq_small.examples[0]
+        table = example.table
+        name = next(column for column in table.columns
+                    if isinstance(table.cell(1, column), str))
+        values = table.column(name).values
+        responses = {}
+        for separator in ("\r", " "):
+            # Row 1, not row 0: the bank keys a table on its first row.
+            variant = table.copy()
+            variant[name] = [values[0], f"{values[1]}{separator}x",
+                             *values[2:]]
+            bank = QuestionBank()
+            bank.register(dataclasses.replace(example, table=variant))
+            with WorkerPool(AgentSpec(bank=bank), workers=1) as pool:
+                responses[separator] = pool.submit(
+                    variant, example.question, seed=1).result(timeout=30)
+        assert responses["\r"].outcome == "ok"
+        assert responses["\r"].answer == responses[" "].answer

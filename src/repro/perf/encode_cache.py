@@ -38,50 +38,53 @@ def encode_cache_enabled() -> bool:
     return os.environ.get("REPRO_ENCODE_CACHE", "1") != "0"
 
 
-def _lookups():
-    return GLOBAL_REGISTRY.counter(
-        "cache.lookups", "cache lookups by cache name and result")
-
-
 class EncodedTableCache:
-    """Thread-safe LRUs of [HEAD]/[ROW] table texts, one per direction.
+    """Thread-safe LRUs of [HEAD]/[ROW] codec results, one per direction.
 
-    Each direction holds at most ``capacity`` entries; ``hits``,
-    ``misses`` and ``evictions`` count the encode side.
+    Each direction holds at most ``capacity`` entries, so decoding never
+    evicts a rendering.  ``len``, ``hits``, ``misses`` and ``evictions``
+    count both directions.
     """
 
     def __init__(self, capacity: int = 512):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[str, int], str] = OrderedDict()
+        self._encoded: OrderedDict[tuple[str, int], str] = OrderedDict()
         self._decoded: OrderedDict[str, DataFrame] = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def encode(self, frame: DataFrame, *, max_rows: int | None) -> str:
-        key = (table_digest(frame), max_rows)
-        lookups = _lookups()
+    def _lookup(self, entries: OrderedDict, cache: str, key):
+        """The entry under ``key``, made most recent; None on a miss."""
         with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
+            value = entries.get(key)
+            if value is not None:
+                entries.move_to_end(key)
                 self.hits += 1
             else:
                 self.misses += 1
-        if cached is not None:
-            lookups.inc(cache="encode", result="hit")
-            return cached
-        lookups.inc(cache="encode", result="miss")
-        rendered = encode_head_row(frame, max_rows=max_rows)
+        GLOBAL_REGISTRY.counter(
+            "cache.lookups", "cache lookups by cache name and result").inc(
+                cache=cache, result="miss" if value is None else "hit")
+        return value
+
+    def _store(self, entries: OrderedDict, key, value) -> None:
         with self._lock:
-            self._entries[key] = rendered
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            entries[key] = value
+            entries.move_to_end(key)
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
                 self.evictions += 1
+
+    def encode(self, frame: DataFrame, *, max_rows: int | None) -> str:
+        key = (table_digest(frame), max_rows)
+        rendered = self._lookup(self._encoded, "encode", key)
+        if rendered is None:
+            rendered = encode_head_row(frame, max_rows=max_rows)
+            self._store(self._encoded, key, rendered)
         return rendered
 
     def decode(self, text: str, *, name: str) -> DataFrame:
@@ -91,23 +94,15 @@ class EncodedTableCache:
         mutates its frame never reaches the cached one.  A ``TableError``
         propagates and leaves no entry.
         """
-        with self._lock:
-            frame = self._decoded.get(text)
-            if frame is not None:
-                self._decoded.move_to_end(text)
-        _lookups().inc(cache="decode",
-                       result="miss" if frame is None else "hit")
+        frame = self._lookup(self._decoded, "decode", text)
         if frame is None:
             frame = decode_head_row(text)
-            with self._lock:
-                self._decoded[text] = frame
-                while len(self._decoded) > self.capacity:
-                    self._decoded.popitem(last=False)
+            self._store(self._decoded, text, frame)
         return frame.with_name(name)
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._encoded.clear()
             self._decoded.clear()
             self.hits = 0
             self.misses = 0
@@ -115,14 +110,13 @@ class EncodedTableCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._encoded) + len(self._decoded)
 
     def stats(self) -> dict[str, int | float]:
         with self._lock:
             total = self.hits + self.misses
             return {
-                "size": len(self._entries),
-                "decoded": len(self._decoded),
+                "size": len(self._encoded) + len(self._decoded),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,

@@ -128,7 +128,7 @@ class TestDecodeHeadRowCached:
         as_t2 = decode_head_row_cached(self.TEXT, name="T2")
         assert (as_t0.name, as_t2.name) == ("T0", "T2")
         assert as_t0 == as_t2
-        assert DEFAULT_ENCODE_CACHE.stats()["decoded"] == 1
+        assert len(DEFAULT_ENCODE_CACHE) == 1
 
     def test_malformed_text_raises_every_time_and_is_not_kept(self):
         malformed = "[HEAD]:a|b\n[ROW] 1: only-one-cell"
@@ -136,14 +136,14 @@ class TestDecodeHeadRowCached:
             with pytest.raises(TableError):
                 decode_head_row_cached(malformed, name="T0")
         assert self._decode_lookups("miss") == 2
-        assert DEFAULT_ENCODE_CACHE.stats()["decoded"] == 0
+        assert len(DEFAULT_ENCODE_CACHE) == 0
 
     def test_disabled_bypasses_the_memo(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENCODE_CACHE", "0")
         decoded = decode_head_row_cached(self.TEXT, name="T1")
         assert decoded == decode_head_row(self.TEXT)
         assert decoded.name == "T1"
-        assert DEFAULT_ENCODE_CACHE.stats()["decoded"] == 0
+        assert len(DEFAULT_ENCODE_CACHE) == 0
         assert self._decode_lookups("miss") == 0
 
     def test_clear_empties_both_directions(self):
@@ -151,20 +151,22 @@ class TestDecodeHeadRowCached:
         cache.encode(_frame(), max_rows=None)
         cache.decode(self.TEXT, name="T0")
         cache.clear()
-        stats = cache.stats()
-        assert (len(cache), stats["decoded"]) == (0, 0)
+        assert len(cache) == 0
+        cache.encode(_frame(), max_rows=None)
         cache.decode(self.TEXT, name="T0")
-        assert self._decode_lookups("miss") == 2
+        assert cache.stats()["misses"] == 2
 
     def test_decode_side_evicts_at_capacity(self):
         cache = EncodedTableCache(capacity=2)
         texts = [encode_head_row(DataFrame({"a": [i]}), max_rows=None)
                  for i in range(3)]
+        cache.encode(_frame(), max_rows=None)
         for text in texts:
-            cache.decode(text, name="T0")
-        assert cache.stats()["decoded"] == 2
-        cache.decode(texts[2], name="T0")        # most recent: kept
+            cache.decode(text, name="T0")       # the third evicts texts[0]
+        assert (len(cache), cache.stats()["evictions"]) == (3, 1)
+        cache.decode(texts[2], name="T0")       # most recent: kept
         assert self._decode_lookups("hit") == 1
-        cache.decode(texts[0], name="T0")        # least recent: evicted
+        cache.decode(texts[0], name="T0")       # evicted: decoded again
         assert self._decode_lookups("miss") == 4
-        assert cache.stats()["decoded"] == 2
+        cache.encode(_frame(), max_rows=None)   # the encode side kept it
+        assert cache.stats()["misses"] == 5

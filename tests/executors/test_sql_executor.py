@@ -144,7 +144,7 @@ class TestNonQueryStatements:
         "/* x */",
         "-- only a comment",
         "PRAGMA table_info(T0)",
-        "CREATE TABLE scratch (a INTEGER)",
+        "CREATE TABLE extra (a INTEGER)",
         "DELETE FROM T0",
         "ATTACH DATABASE '{path}' AS x",
     ]

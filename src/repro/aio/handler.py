@@ -1,13 +1,13 @@
 """The awaitable effect handler: async model boundary, sync executors.
 
-:class:`AsyncEffectHandler` mirrors :class:`repro.engine.EffectHandler`
-effect-for-effect — same ``model_call`` spans, same token attribution,
-same deadline seam (checked before each round-trip for cheap refusal and
-after it for one-slow-call detection), same executor error envelope —
-except the model boundary is awaitable.  Executor effects stay
-synchronous: the SQL/Python sandboxes are local compute measured in
-microseconds, and running them inline preserves the sync drivers'
-step ordering exactly.
+:class:`AsyncEffectHandler` is :class:`repro.engine.EffectHandler` with
+an awaitable model boundary — same ``model_call`` spans, same token
+attribution, same deadline seam (checked before each round-trip for
+cheap refusal and after it for one-slow-call detection).  The executor
+boundary is inherited unchanged: the SQL/Python sandboxes are local
+compute measured in microseconds, and running them inline through the
+sync handler's ``execute`` preserves the sync drivers' step ordering and
+error envelope exactly.
 
 Span correctness under interleaving: ``span()`` reads the ambient
 contextvars stack, and each asyncio task carries its own context copy, so
@@ -24,8 +24,9 @@ from __future__ import annotations
 import time
 
 from repro.aio.adapter import AsyncLanguageModel, ensure_async_model
-from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
-from repro.errors import ExecutionError, ServingTimeoutError
+from repro.engine.driver import EffectHandler
+from repro.engine.effects import ModelCall, ModelResult
+from repro.errors import ExecutionError
 from repro.llm.base import Completion, CompletionRequest
 from repro.telemetry.cost import estimate_tokens
 from repro.telemetry.spans import span
@@ -33,30 +34,24 @@ from repro.telemetry.spans import span
 __all__ = ["AsyncEffectHandler"]
 
 
-class AsyncEffectHandler:
+class AsyncEffectHandler(EffectHandler):
     """Performs engine effects on the event loop.
 
     ``model`` may be a sync :class:`~repro.llm.base.LanguageModel`
     (wrapped via :class:`~repro.aio.adapter.SyncModelAdapter`) or an
     :class:`~repro.aio.adapter.AsyncLanguageModel` directly.  ``catch``
-    and ``deadline`` have the sync handler's semantics.
+    and ``deadline`` have the sync handler's semantics; ``execute`` and
+    ``check_deadline`` are the sync handler's own.
     """
+
+    model: AsyncLanguageModel
 
     def __init__(self, model, registry, *,
                  catch: tuple = (ExecutionError,),
                  deadline: float | None = None,
                  clock=time.monotonic):
-        self.model: AsyncLanguageModel = ensure_async_model(model)
-        self.registry = registry
-        self.catch = tuple(catch)
-        self.deadline = deadline
-        self._clock = clock
-
-    def check_deadline(self, moment: str) -> None:
-        """Raise :class:`ServingTimeoutError` once the deadline passed."""
-        if self.deadline is not None and self._clock() >= self.deadline:
-            raise ServingTimeoutError(
-                f"attempt deadline exceeded ({moment} completion)")
+        super().__init__(ensure_async_model(model), registry, catch=catch,
+                         deadline=deadline, clock=clock)
 
     # --- model boundary ------------------------------------------------------
 
@@ -90,17 +85,3 @@ class AsyncEffectHandler:
                     calls=len(requests))
         self.check_deadline("after")
         return batches
-
-    # --- executor boundary ----------------------------------------------------
-
-    def execute(self, effect: Execute) -> ExecResult:
-        """Perform one :class:`Execute`; failures become data, not raises."""
-        try:
-            executor = self.registry.get(effect.language)
-        except Exception as exc:
-            return ExecResult(error=exc, missing_executor=True)
-        try:
-            outcome = executor.execute(effect.code, list(effect.tables))
-        except self.catch as exc:
-            return ExecResult(error=exc)
-        return ExecResult(outcome=outcome)

@@ -550,6 +550,33 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse ``type``: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse ``type``: a duration in seconds greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reactable-repro",
@@ -574,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model-seed", type=int, default=1)
     ev.add_argument("--voting", default="none",
                     choices=("none", "s-vote", "t-vote", "e-vote"))
-    ev.add_argument("--samples", type=int, default=5)
+    ev.add_argument("--samples", type=_at_least(1), default=5)
     ev.add_argument("--sql-only", action="store_true")
     ev.add_argument("--sql-backend", default="sqlite",
                     choices=("sqlite", "native"))
@@ -589,23 +616,23 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--model-seed", type=int, default=1)
     batch.add_argument("--voting", default="none",
                        choices=("none", "s-vote", "t-vote", "e-vote"))
-    batch.add_argument("--samples", type=int, default=5)
+    batch.add_argument("--samples", type=_at_least(1), default=5)
     batch.add_argument("--sql-only", action="store_true")
     batch.add_argument("--sql-backend", default="sqlite",
                        choices=("sqlite", "native"))
-    batch.add_argument("--workers", type=int, default=4,
+    batch.add_argument("--workers", type=_at_least(1), default=4,
                        help="concurrent agent workers")
     batch.add_argument("--cache-size", type=int, default=1024,
                        help="answer-cache entries (0 disables caching)")
-    batch.add_argument("--timeout", type=float, default=None,
+    batch.add_argument("--timeout", type=_positive_seconds, default=None,
                        help="per-attempt timeout in seconds")
-    batch.add_argument("--retries", type=int, default=1,
+    batch.add_argument("--retries", type=_at_least(0), default=1,
                        help="extra attempts before degrading")
     batch.add_argument("--async", dest="use_async", action="store_true",
                        help="serve through the asyncio core (continuous "
                             "batching + admission control; also enabled "
                             "by REPRO_ASYNC_SERVER=1)")
-    batch.add_argument("--max-inflight", type=int, default=64,
+    batch.add_argument("--max-inflight", type=_at_least(1), default=64,
                        help="async mode: concurrent in-flight request "
                             "budget")
     batch.add_argument("--batch-scheduler", action="store_true",
@@ -637,20 +664,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--model", default="codex-sim")
     serve.add_argument("--voting", default="none",
                        choices=("none", "s-vote", "t-vote", "e-vote"))
-    serve.add_argument("--samples", type=int, default=5)
+    serve.add_argument("--samples", type=_at_least(1), default=5)
     serve.add_argument("--sql-only", action="store_true")
     serve.add_argument("--sql-backend", default="sqlite",
                        choices=("sqlite", "native"))
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="control-plane port (0 = ephemeral)")
-    serve.add_argument("--max-inflight", type=int, default=16)
-    serve.add_argument("--max-queued", type=int, default=256)
+    serve.add_argument("--max-inflight", type=_at_least(1), default=16)
+    serve.add_argument("--max-queued", type=_at_least(0), default=256)
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="answer-cache entries (0 disables caching)")
-    serve.add_argument("--timeout", type=float, default=None,
+    serve.add_argument("--timeout", type=_positive_seconds, default=None,
                        help="per-attempt timeout in seconds")
-    serve.add_argument("--retries", type=int, default=1)
+    serve.add_argument("--retries", type=_at_least(0), default=1)
     serve.add_argument("--breaker-threshold", type=int, default=5,
                        help="0 disables the circuit breaker")
     serve.add_argument("--tenants", default="gold,silver,bronze,default",
@@ -683,11 +710,11 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--model-seed", type=int, default=1)
     chaos.add_argument("--voting", default="none",
                        choices=("none", "s-vote", "t-vote", "e-vote"))
-    chaos.add_argument("--samples", type=int, default=5)
+    chaos.add_argument("--samples", type=_at_least(1), default=5)
     chaos.add_argument("--sql-only", action="store_true")
     chaos.add_argument("--sql-backend", default="sqlite",
                        choices=("sqlite", "native"))
-    chaos.add_argument("--workers", type=int, default=4)
+    chaos.add_argument("--workers", type=_at_least(1), default=4)
     chaos.add_argument("--async", dest="use_async", action="store_true",
                        help="sweep through the asyncio serving core "
                             "instead of the thread pool (also enabled by "
@@ -697,9 +724,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated per-call fault rates")
     chaos.add_argument("--fault-latency", type=float, default=0.02,
                        help="injected latency-spike duration (seconds)")
-    chaos.add_argument("--timeout", type=float, default=None,
+    chaos.add_argument("--timeout", type=_positive_seconds, default=None,
                        help="per-attempt serving deadline (seconds)")
-    chaos.add_argument("--retries", type=int, default=2,
+    chaos.add_argument("--retries", type=_at_least(0), default=2,
                        help="pool-level extra attempts before degrading")
     chaos.add_argument("--model-retries", type=int, default=2,
                        help="in-stack RetryingModel retries (0 disables)")

@@ -100,6 +100,13 @@ def get_majority(answers: list[list[str]]) -> list[str]:
     return representative[best]
 
 
+def _sample_count(n: int) -> int:
+    """``n`` itself; a vote needs at least one chain or sample."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return n
+
+
 def _branching_strategy(name: str, voter: str):
     """Resolve a strategy for a branch-forking voter, or refuse.
 
@@ -135,7 +142,7 @@ class SimpleMajorityVoting:
         self.registry = registry or default_registry()
         self.strategy = get_strategy(strategy)
         self.temperature = temperature
-        self.n = n
+        self.n = _sample_count(n)
         self.max_iterations = max_iterations
         self.use_scheduler = use_scheduler
 
@@ -226,7 +233,7 @@ class TreeExplorationVoting:
         self.registry = registry or default_registry()
         self.strategy = _branching_strategy(strategy, "tree-exploration")
         self.temperature = temperature
-        self.n = n
+        self.n = _sample_count(n)
         self.max_branches = max_branches
         self.max_depth = max_depth
 
@@ -303,7 +310,7 @@ class ExecutionBasedVoting:
         self.registry = registry or default_registry()
         self.strategy = _branching_strategy(strategy, "execution-based")
         self.temperature = temperature
-        self.n = n
+        self.n = _sample_count(n)
         self.max_depth = max_depth
 
     def run(self, table: DataFrame, question: str) -> VotingResult:

@@ -15,6 +15,10 @@ set of modules is pre-imported; modules in the *installable registry*
 simulate the paper's runtime ``pip install`` — on the first
 ``ModuleNotFoundError`` the executor "installs" (enables) the module and
 reruns the code, recording the action in ``handling_notes``.
+
+Outcomes are memoised per executor (:class:`ExecutionMemo`).  The set of
+installed modules is part of the key: code that installed a module runs
+again under the new set, and then carries no install note.
 """
 
 from __future__ import annotations
@@ -26,7 +30,12 @@ from repro.errors import (
     PythonExecutionError,
     SandboxViolationError,
 )
-from repro.executors.base import CodeExecutor, ExecutionOutcome
+from repro.executors.base import (
+    CodeExecutor,
+    ExecutionMemo,
+    ExecutionOutcome,
+    history_key,
+)
 from repro.executors.sandbox import SAFE_BUILTINS, StepLimiter, validate_code
 from repro.table.frame import Column, DataFrame
 from repro.telemetry.spans import span
@@ -65,12 +74,22 @@ class PythonExecutor(CodeExecutor):
         #: Modules enabled by runtime installs, persisted per executor so a
         #: module installed once stays available (like a real environment).
         self._installed: set[str] = set()
+        self._memo = ExecutionMemo()
 
     def describe(self) -> str:
         return "Python executor (DataFrame sandbox)"
 
     def execute(self, code: str,
                 tables: Sequence[DataFrame]) -> ExecutionOutcome:
+        return self._memo.run(self._memo_key(code, tables),
+                              lambda: self._execute(code, tables))
+
+    def _memo_key(self, code: str, tables: Sequence[DataFrame]) -> tuple:
+        return (self.allow_runtime_install, self.max_steps,
+                frozenset(self._installed), code, history_key(tables))
+
+    def _execute(self, code: str,
+                 tables: Sequence[DataFrame]) -> ExecutionOutcome:
         if not tables:
             raise PythonExecutionError("no tables available", code=code)
         validate_code(code)

@@ -12,6 +12,9 @@ typically because it references a column that only exists in an *earlier*
 intermediate table — the executor retries the same query against previous
 tables in reverse order, rewriting the FROM clause.  The retry trail is
 reported in :class:`ExecutionOutcome.handling_notes`.
+
+Outcomes are memoised per executor (:class:`ExecutionMemo`): a repeated
+query over the same table history replays its result or its failure.
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ import sqlite3
 from collections.abc import Sequence
 
 from repro.errors import SQLError, SQLExecutionError
-from repro.executors.base import CodeExecutor, ExecutionOutcome
+from repro.executors.base import (
+    CodeExecutor,
+    ExecutionMemo,
+    ExecutionOutcome,
+    history_key,
+)
 from repro.sqlengine.executor import execute_sql
 from repro.table.frame import DataFrame
 from repro.table.schema import ColumnType, is_missing
@@ -121,12 +129,22 @@ class SQLExecutor(CodeExecutor):
             raise ValueError(f"unknown SQL backend {backend!r}")
         self.backend = backend
         self.retry_previous_tables = retry_previous_tables
+        self._memo = ExecutionMemo()
 
     def describe(self) -> str:
         return f"SQL executor ({self.backend} backend)"
 
     def execute(self, code: str,
                 tables: Sequence[DataFrame]) -> ExecutionOutcome:
+        return self._memo.run(self._memo_key(code, tables),
+                              lambda: self._execute(code, tables))
+
+    def _memo_key(self, code: str, tables: Sequence[DataFrame]) -> tuple:
+        return (self.backend, self.retry_previous_tables, code,
+                history_key(tables))
+
+    def _execute(self, code: str,
+                 tables: Sequence[DataFrame]) -> ExecutionOutcome:
         if not tables:
             raise SQLExecutionError("no tables available", code=code)
         catalog = {

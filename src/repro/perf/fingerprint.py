@@ -1,14 +1,15 @@
 """The one content-fingerprint scheme shared by every cache in the repo.
 
-Both the serving answer cache and the prompt-encoding cache key on "has
-this table changed?".  They must agree on the answer, so the hashing
-lives here and nowhere else.
+The serving answer cache, the prompt-encoding cache and the executors'
+outcome memo key on "has this table changed?".  They must agree on the
+answer, so the hashing lives here and nowhere else.
 
 ``table_digest`` delegates to ``DataFrame.content_digest()``, which is
 computed lazily and cached on the frame itself (frames are value objects;
 only ``__setitem__`` mutates, and it invalidates the cached digest).  The
-digest covers column names, dtypes, and every cell tagged with its Python
-type — so ``1`` and ``"1"`` hash differently.
+digest covers column names, dtypes, and the ``repr`` of every column's
+values — so ``1``, ``1.0``, ``True`` and ``"1"`` hash differently, and so
+do ``None`` and ``nan``.
 """
 
 from __future__ import annotations

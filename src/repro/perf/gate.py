@@ -5,8 +5,9 @@ Two jobs, both runnable without pytest:
 1. **Correctness smoke** (rate-0-style): with every optimisation disabled
    the engine must produce *identical* results — compiled vs interpreted
    SQL, encode cache on vs off (rendered tables and parsed prompts), plan
-   cache on vs off.  This is the check ``repro perf`` runs as a
-   tier-1-adjacent smoke.
+   cache on vs off, and one memoising executor vs a fresh executor per
+   call.  This is the check ``repro perf`` runs as a tier-1-adjacent
+   smoke.
 
 2. **Timing gate**: measure the optimised path against its disabled
    counterpart (same process, same machine, back to back), enforce the
@@ -20,6 +21,7 @@ Two jobs, both runnable without pytest:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -35,10 +37,15 @@ from repro.core.prompt import (
     TranscriptStep,
     parse_prompt,
 )
+from repro.datasets.generators import generate_dataset
+from repro.engine.driver import EffectHandler, run_chain
+from repro.engine.effects import Execute, ExecResult
+from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.perf.encode_cache import (
     DEFAULT_ENCODE_CACHE,
     encode_head_row_cached,
 )
+from repro.serving.spec import AgentSpec
 from repro.sqlengine.executor import execute_sql
 from repro.sqlengine.plancache import DEFAULT_PLAN_CACHE, parse_select_cached
 from repro.table.frame import DataFrame
@@ -195,6 +202,85 @@ def _parsed(prompts: list[str]) -> list[tuple]:
             for parsed in map(parse_prompt, prompts)]
 
 
+class _EffectRecorder(EffectHandler):
+    """An effect handler that keeps every Execute effect it performs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.effects: list[Execute] = []
+
+    def execute(self, effect: Execute) -> ExecResult:
+        self.effects.append(effect)
+        return super().execute(effect)
+
+
+def _svote_effects(backend: str) -> list[Execute]:
+    """The Execute effects of one s-vote attempt, in the order they ran.
+
+    The question's five chains run Python and SQL, repeat most of their
+    executions, install a module at runtime and fail one query.
+    """
+    bench = generate_dataset("tabfact", size=1, seed=7)
+    example = bench.examples[0]
+    voter = AgentSpec(bank=bench.bank, voting="s-vote",
+                      sql_backend=backend).build(3)
+    recorder = _EffectRecorder(voter.model, voter.registry,
+                               catch=voter.handler_catch)
+    for engine in voter.chain_engines(example.table, example.question):
+        run_chain(engine, recorder)
+    return recorder.effects
+
+
+def _renamed(effect: Execute) -> Execute:
+    """``effect`` over the same tables under other names.
+
+    Its queries no longer find ``T<k>``, so they run again through the
+    FROM-rewrite retries; a memo that ignored names would replay the
+    original outcome.
+    """
+    return dataclasses.replace(effect, tables=tuple(
+        frame.with_name(f"S{index}")
+        for index, frame in enumerate(effect.tables)))
+
+
+def _fresh_like(registry: ExecutorRegistry) -> ExecutorRegistry:
+    """New executors, with nothing remembered, in ``registry``'s state."""
+    fresh = default_registry(sql_backend=registry.get("sql").backend)
+    fresh.get("python")._installed.update(registry.get("python")._installed)
+    return fresh
+
+
+def _exec_signature(result: ExecResult) -> tuple:
+    """What a caller observes: the failure, or the frame and notes."""
+    if result.outcome is None:
+        error = result.error
+        return ("error", type(error), str(error),
+                getattr(error, "code", None))
+    outcome, table = result.outcome, result.outcome.table
+    return ("ok", table.name, table.columns,
+            [str(dtype) for dtype in table.dtypes.values()],
+            repr(table.to_rows()), outcome.handling_notes,
+            outcome.executed_against)
+
+
+def _memo_matches_fresh(backend: str) -> bool:
+    """One shared registry must match a fresh registry on every call.
+
+    Each Execute effect of a built s-vote attempt runs twice, then twice
+    more over renamed tables.  Each call's reference is a fresh registry
+    in the shared one's install state.
+    """
+    shared = default_registry(sql_backend=backend)
+    for effect in _svote_effects(backend):
+        renamed = _renamed(effect)
+        for call in (effect, effect, renamed, renamed):
+            fresh = EffectHandler(None, _fresh_like(shared)).execute(call)
+            memoised = EffectHandler(None, shared).execute(call)
+            if _exec_signature(memoised) != _exec_signature(fresh):
+                return False
+    return True
+
+
 def run_checks() -> list[str]:
     """Optimisations-off must equal optimisations-on.  Returns failures."""
     failures: list[str] = []
@@ -242,6 +328,10 @@ def run_checks() -> list[str]:
     DEFAULT_ENCODE_CACHE.clear()
     if not (undecoded == _parsed(prompts) == _parsed(prompts)):
         failures.append("decode memo changed a parsed prompt")
+    for backend in ("sqlite", "native"):
+        if not _memo_matches_fresh(backend):
+            failures.append(
+                f"executor memo changed an execution ({backend} backend)")
     return failures
 
 

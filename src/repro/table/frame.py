@@ -18,6 +18,7 @@ mutates shared state except explicit ``__setitem__`` on the frame itself.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ColumnNotFoundError, SchemaError, TableError
@@ -42,7 +43,7 @@ class Column(Sequence):
         adults = people[people["age"] >= 18]
     """
 
-    __slots__ = ("name", "_values", "_dtype")
+    __slots__ = ("name", "_values", "_dtype", "_digest")
 
     def __init__(self, name: str, values: Iterable, dtype: ColumnType | None = None):
         self.name = name
@@ -51,6 +52,7 @@ class Column(Sequence):
         #: known dtype, and untyped intermediates never pay for inference
         #: unless something actually asks for it.
         self._dtype = dtype
+        self._digest: bytes | None = None
 
     @property
     def values(self) -> tuple:
@@ -61,6 +63,20 @@ class Column(Sequence):
         if self._dtype is None:
             self._dtype = infer_column_type(self._values)
         return self._dtype
+
+    def content_digest(self) -> bytes:
+        """16-byte digest of the dtype and values, cached on the column.
+
+        Hashes ``repr`` of the values, which tells apart everything
+        generated code can tell apart: ``None`` from ``nan``, and ``1``
+        from ``1.0``, ``True`` and ``"1"``.  The name is left out, so a
+        renamed column (and every frame sharing the column) reuses it.
+        """
+        if self._digest is None:
+            self._digest = hashlib.blake2b(
+                repr((self.dtype.value, self._values)).encode("utf-8"),
+                digest_size=16).digest()
+        return self._digest
 
     def __len__(self) -> int:
         return len(self._values)
@@ -368,26 +384,22 @@ class DataFrame:
         return self._suffixes
 
     def content_digest(self) -> str:
-        """Stable digest of (columns, dtypes, rows); cached per frame.
+        """Stable digest of (columns, dtypes, values); cached per frame.
 
-        This is the shared fingerprint the serving answer cache and the
-        prompt-encoding cache key on (see :mod:`repro.perf.fingerprint`).
-        The frame name is deliberately excluded: two frames with equal
+        This is the shared fingerprint the serving answer cache, the
+        prompt-encoding cache and the executors' outcome memo key on (see
+        :mod:`repro.perf.fingerprint`).  It combines the column names with
+        each column's cached :meth:`Column.content_digest`, so frames that
+        share columns (``select``, ``rename``) pay only for the combine,
+        and ``copy``/``with_name`` clones inherit the frame's digest.  The
+        frame name is deliberately excluded: two frames with equal
         contents are interchangeable.
         """
         if self._digest is None:
-            import hashlib
-
-            hasher = hashlib.blake2b(digest_size=16)
-            hasher.update("\x1f".join(self._order).encode("utf-8"))
-            hasher.update("\x1f".join(
-                str(self._columns[name].dtype)
-                for name in self._order).encode("utf-8"))
-            for row in self.to_rows():
-                encoded = "\x1f".join(
-                    "\x00" if is_missing(value) else
-                    f"{type(value).__name__}\x01{value}" for value in row)
-                hasher.update(b"\x1e" + encoded.encode("utf-8"))
+            hasher = hashlib.blake2b(repr(self._order).encode("utf-8"),
+                                     digest_size=16)
+            for name in self._order:
+                hasher.update(self._columns[name].content_digest())
             self._digest = hasher.hexdigest()
         return self._digest
 
@@ -520,16 +532,18 @@ class DataFrame:
         return DataFrame(cols, name=self.name)
 
     def with_name(self, name: str) -> "DataFrame":
-        clone = DataFrame([self._columns[key] for key in self._order],
-                          name=name)
+        """A clone named ``name``: same columns, same cached digest."""
+        clone = DataFrame(name=name)
+        clone._columns = dict(self._columns)
+        clone._order = list(self._order)
+        clone._digest = self._digest
         return clone
 
     def head(self, n: int = 5) -> "DataFrame":
         return self.take(range(min(n, self.num_rows)))
 
     def copy(self) -> "DataFrame":
-        return DataFrame([self._columns[key] for key in self._order],
-                         name=self.name)
+        return self.with_name(self.name)
 
     # --- misc ---------------------------------------------------------------
 

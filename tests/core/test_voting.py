@@ -216,3 +216,11 @@ class TestMakeVoter:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_voter("z-vote", ScriptedModel([]))
+
+    @pytest.mark.parametrize("kind", ["s-vote", "t-vote", "e-vote"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_voters_need_at_least_one_sample(self, kind, n):
+        model = ScriptedModel([])
+        model.supports_logprobs = True
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            make_voter(kind, model, n=n)

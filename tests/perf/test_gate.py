@@ -2,6 +2,8 @@
 
 import json
 
+from repro.executors import PythonExecutor, SQLExecutor
+from repro.executors.base import history_key
 from repro.perf.encode_cache import EncodedTableCache
 from repro.perf.gate import main, run_checks, run_gate
 from repro.table.io import decode_head_row
@@ -75,3 +77,25 @@ class TestDecodeParityCheck:
             EncodedTableCache, "decode",
             lambda self, text, *, name: decode_head_row(text))
         assert run_checks() == ["decode memo changed a parsed prompt"]
+
+
+def _digests(tables) -> tuple:
+    return tuple(frame.content_digest() for frame in tables)
+
+
+class TestExecutorMemoParityCheck:
+    FAILURES = ["executor memo changed an execution (sqlite backend)",
+                "executor memo changed an execution (native backend)"]
+
+    def test_flags_a_memo_key_without_table_names(self, monkeypatch):
+        for executor in (SQLExecutor, PythonExecutor):
+            monkeypatch.setattr(
+                executor, "_memo_key",
+                lambda self, code, tables: (code, _digests(tables)))
+        assert run_checks() == self.FAILURES
+
+    def test_flags_a_memo_key_without_install_state(self, monkeypatch):
+        monkeypatch.setattr(
+            PythonExecutor, "_memo_key",
+            lambda self, code, tables: (code, history_key(tables)))
+        assert run_checks() == self.FAILURES

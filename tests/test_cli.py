@@ -325,3 +325,37 @@ class TestServe:
         assert "serving_outcomes_total" in out
         assert '"tenants"' in out
         assert "drained and stopped" in out
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("argv", [
+        ["batch", "wikitq", "--workers", "0"],
+        ["chaos", "wikitq", "--workers", "0"],
+        ["batch", "wikitq", "--async", "--max-inflight", "0"],
+        ["serve", "wikitq", "--max-inflight", "0"],
+        ["serve", "wikitq", "--max-queued", "-1"],
+        ["batch", "wikitq", "--retries", "-1"],
+        ["batch", "wikitq", "--timeout", "-1"],
+        ["batch", "wikitq", "--timeout", "0"],
+        ["evaluate", "wikitq", "--voting", "s-vote", "--samples", "0"],
+        ["batch", "wikitq", "--voting", "s-vote", "--samples", "-3"],
+        ["serve", "wikitq", "--samples", "0"],
+        ["chaos", "wikitq", "--samples", "0"],
+        ["batch", "wikitq", "--workers", "two"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_rejected_as_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as stopped:
+            main(argv)
+        assert stopped.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {argv[-2]}:" in err
+        assert "Traceback" not in err
+
+    def test_boundary_values_accepted(self):
+        args = build_parser().parse_args([
+            "serve", "wikitq", "--max-queued", "0", "--retries", "0",
+            "--max-inflight", "1", "--samples", "1", "--timeout", "0.5",
+        ])
+        assert (args.max_queued, args.retries, args.max_inflight,
+                args.samples, args.timeout) == (0, 0, 1, 1, 0.5)

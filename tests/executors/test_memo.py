@@ -1,6 +1,8 @@
 """The executors' outcome memo: a replayed call equals a real run."""
 
 import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -227,12 +229,12 @@ class TestSharedAcrossChains:
         counts = {}
         for executor_class in (SQLExecutor, PythonExecutor):
             _counting_spy(monkeypatch, executor_class, counts)
-        lookups = []
-        shared = ExecutorRegistry([_Counting(SQLExecutor(), lookups),
-                                   _Counting(PythonExecutor(), lookups)])
+        calls = []
+        shared = ExecutorRegistry([_Counting(SQLExecutor(), calls),
+                                   _Counting(PythonExecutor(), calls)])
         assert vote(shared) == fresh
         assert set(counts.values()) == {1}
-        assert len(lookups) > len(counts)
+        assert len(calls) > len(counts)
 
 
 class _FreshPerCall(CodeExecutor):
@@ -259,10 +261,46 @@ class _Counting(CodeExecutor):
         return self.inner.execute(code, tables)
 
 
-def test_frames_in_the_key_are_compared_by_content(tiny_frame):
+def test_frames_in_the_key_are_compared_by_content(tiny_frame,
+                                                   monkeypatch):
+    counts = {}
+    _counting_spy(monkeypatch, SQLExecutor, counts)
     executor = SQLExecutor("native")
-    copy = DataFrame({"a": [1, 2, 3], "b": ["x", "y", "z"]}, name="T0")
+    equal = DataFrame({"a": [1, 2, 3], "b": ["x", "y", "z"]}, name="T0")
     first = executor.execute("SELECT SUM(a) FROM T0", [tiny_frame])
-    second = executor.execute("SELECT SUM(a) FROM T0", [copy])
+    second = executor.execute("SELECT SUM(a) FROM T0", [equal])
+    assert list(counts.values()) == [1]
     assert second.table is not first.table
     assert second.table == first.table
+
+
+def test_threads_sharing_one_executor_get_exact_outcomes(tiny_frame):
+    """Concurrent misses and hits on one memo all return the real result."""
+    calls = [(f"SELECT a, b FROM T0 WHERE a > {k}", [tiny_frame])
+             for k in range(3)]
+    calls.append(("SELECT a FROM T0", [tiny_frame.with_name("S0")]))
+    calls.append(("SELECT nope FROM T0", [tiny_frame]))
+    expected = [_signature(SQLExecutor("native"), code, tables)
+                for code, tables in calls]
+    shared = SQLExecutor("native")
+    mismatches = []
+
+    def hammer():
+        for _ in range(40):
+            for (code, tables), want in zip(calls, expected):
+                if _signature(shared, code, tables) != want:
+                    mismatches.append(code)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    assert len(shared._memo._entries) == len(calls)

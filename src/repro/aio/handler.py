@@ -1,13 +1,14 @@
 """The awaitable effect handler: async model boundary, sync executors.
 
 :class:`AsyncEffectHandler` is :class:`repro.engine.EffectHandler` with
-an awaitable model boundary — same ``model_call`` spans, same token
-attribution, same deadline seam (checked before each round-trip for
-cheap refusal and after it for one-slow-call detection).  The executor
-boundary is inherited unchanged: the SQL/Python sandboxes are local
-compute measured in microseconds, and running them inline through the
-sync handler's ``execute`` preserves the sync drivers' step ordering and
-error envelope exactly.
+an awaitable model boundary.  It awaits the model inside the sync
+handler's own boundary (``EffectHandler._model_boundary``): the same
+``model_call`` spans, the same token attribution and the same deadline
+seam (checked before each round-trip for cheap refusal and after it for
+one-slow-call detection).  The executor boundary is inherited unchanged:
+the SQL/Python sandboxes are local compute measured in microseconds, and
+running them inline through the sync handler's ``execute`` preserves the
+sync drivers' step ordering and error envelope exactly.
 
 Span correctness under interleaving: ``span()`` reads the ambient
 contextvars stack, and each asyncio task carries its own context copy, so
@@ -28,8 +29,6 @@ from repro.engine.driver import EffectHandler
 from repro.engine.effects import ModelCall, ModelResult
 from repro.errors import ExecutionError
 from repro.llm.base import Completion, CompletionRequest
-from repro.telemetry.cost import estimate_tokens
-from repro.telemetry.spans import span
 
 __all__ = ["AsyncEffectHandler"]
 
@@ -40,8 +39,9 @@ class AsyncEffectHandler(EffectHandler):
     ``model`` may be a sync :class:`~repro.llm.base.LanguageModel`
     (wrapped via :class:`~repro.aio.adapter.SyncModelAdapter`) or an
     :class:`~repro.aio.adapter.AsyncLanguageModel` directly.  ``catch``
-    and ``deadline`` have the sync handler's semantics; ``execute`` and
-    ``check_deadline`` are the sync handler's own.
+    and ``deadline`` have the sync handler's semantics; ``execute``, the
+    deadline checks, the ``model_call`` span and the token attribution
+    are the sync handler's own.  The two model methods only await.
     """
 
     model: AsyncLanguageModel
@@ -57,31 +57,16 @@ class AsyncEffectHandler(EffectHandler):
 
     async def model_call(self, effect: ModelCall) -> ModelResult:
         """Perform one :class:`ModelCall` inside a ``model_call`` span."""
-        self.check_deadline("before")
-        with span("model_call") as call:
-            completions = await self.model.complete(
-                effect.prompt, temperature=effect.temperature, n=effect.n)
-            if call is not None:
-                call.add_tokens(
-                    prompt=estimate_tokens(effect.prompt),
-                    completion=sum(estimate_tokens(c.text)
-                                   for c in completions),
-                    calls=1)
-        self.check_deadline("after")
-        return ModelResult(tuple(completions))
+        with self._model_boundary([effect]) as batches:
+            batches.append(await self.model.complete(
+                effect.prompt, temperature=effect.temperature, n=effect.n))
+        return ModelResult(tuple(batches[0]))
 
     async def model_batch(self,
                           requests: list[CompletionRequest]
                           ) -> list[list[Completion]]:
         """Perform a coalesced batch of prompts in one span."""
-        self.check_deadline("before")
-        with span("model_call", batched=len(requests)) as call:
-            batches = await self.model.complete_batch(requests)
-            if call is not None:
-                call.add_tokens(
-                    prompt=sum(estimate_tokens(r.prompt) for r in requests),
-                    completion=sum(estimate_tokens(c.text)
-                                   for batch in batches for c in batch),
-                    calls=len(requests))
-        self.check_deadline("after")
+        with self._model_boundary(requests,
+                                  batched=len(requests)) as batches:
+            batches.extend(await self.model.complete_batch(requests))
         return batches

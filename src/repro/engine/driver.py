@@ -20,6 +20,7 @@ spans and under-report tokens).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from repro.engine.core import ChainEngine
 from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
@@ -69,33 +70,20 @@ class EffectHandler:
 
     # --- model boundary ------------------------------------------------------
 
-    def model_call(self, effect: ModelCall) -> ModelResult:
-        """Perform one :class:`ModelCall` inside a ``model_call`` span."""
-        self.check_deadline("before")
-        with span("model_call") as call:
-            completions = self.model.complete(
-                effect.prompt, temperature=effect.temperature, n=effect.n)
-            if call is not None:
-                call.add_tokens(
-                    prompt=estimate_tokens(effect.prompt),
-                    completion=sum(estimate_tokens(c.text)
-                                   for c in completions),
-                    calls=1)
-        self.check_deadline("after")
-        return ModelResult(tuple(completions))
+    @contextmanager
+    def _model_boundary(self, requests, **attributes):
+        """Deadline checks, ``model_call`` span and token attribution
+        around one round-trip; the body appends each request's
+        completions to the yielded list.
 
-    def model_batch(self,
-                    requests: list[CompletionRequest]
-                    ) -> list[list[Completion]]:
-        """Perform a coalesced batch of prompts in one span.
-
-        Token attribution covers the whole batch; ``calls`` counts the
-        logical completion requests so cost summaries stay comparable
-        with the sequential path.
+        Token attribution covers the whole round-trip; ``calls`` counts
+        the logical completion requests so cost summaries stay
+        comparable between batched and sequential paths.
         """
         self.check_deadline("before")
-        with span("model_call", batched=len(requests)) as call:
-            batches = self.model.complete_batch(requests)
+        batches: list = []
+        with span("model_call", **attributes) as call:
+            yield batches
             if call is not None:
                 call.add_tokens(
                     prompt=sum(estimate_tokens(r.prompt) for r in requests),
@@ -103,6 +91,21 @@ class EffectHandler:
                                    for batch in batches for c in batch),
                     calls=len(requests))
         self.check_deadline("after")
+
+    def model_call(self, effect: ModelCall) -> ModelResult:
+        """Perform one :class:`ModelCall` inside a ``model_call`` span."""
+        with self._model_boundary([effect]) as batches:
+            batches.append(self.model.complete(
+                effect.prompt, temperature=effect.temperature, n=effect.n))
+        return ModelResult(tuple(batches[0]))
+
+    def model_batch(self,
+                    requests: list[CompletionRequest]
+                    ) -> list[list[Completion]]:
+        """Perform a coalesced batch of prompts in one span."""
+        with self._model_boundary(requests,
+                                  batched=len(requests)) as batches:
+            batches.extend(self.model.complete_batch(requests))
         return batches
 
     # --- executor boundary ----------------------------------------------------

@@ -36,7 +36,12 @@ from repro.executors.base import (
     ExecutionOutcome,
     history_key,
 )
-from repro.executors.sandbox import SAFE_BUILTINS, StepLimiter, validate_code
+from repro.executors.sandbox import (
+    SAFE_BUILTINS,
+    StepLimiter,
+    buffered_print,
+    validate_code,
+)
 from repro.table.frame import Column, DataFrame
 from repro.telemetry.spans import span
 
@@ -138,6 +143,7 @@ class PythonExecutor(CodeExecutor):
 
         builtins_ns = dict(SAFE_BUILTINS)
         builtins_ns["__import__"] = self._make_import()
+        builtins_ns["print"] = buffered_print()
         namespace: dict = {"__builtins__": builtins_ns}
         for module_name in PRELOADED_MODULES:
             namespace[module_name] = importlib.import_module(module_name)

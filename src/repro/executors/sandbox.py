@@ -10,17 +10,25 @@ policy before execution:
 * imports restricted to an allow-list (checked at runtime by the executor's
   ``__import__`` hook — the AST pass only rejects ``from x import *``);
 * a bounded statement budget at runtime (via ``sys.settrace``) so infinite
-  loops cannot hang the agent.
+  loops cannot hang the agent;
+* a bounded output buffer: ``print`` writes into a per-execution buffer
+  of at most :data:`MAX_OUTPUT_CHARS` characters, discarded after the
+  run, so generated code never writes to the serving process's stdout.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import sys
 
 from repro.errors import SandboxViolationError
 
-__all__ = ["validate_code", "StepLimiter", "SAFE_BUILTINS"]
+__all__ = ["validate_code", "StepLimiter", "SAFE_BUILTINS",
+           "MAX_OUTPUT_CHARS", "buffered_print"]
+
+#: Characters one execution may print before it is stopped.
+MAX_OUTPUT_CHARS = 100_000
 
 _FORBIDDEN_CALLS = frozenset({
     "open", "eval", "exec", "compile", "input", "globals", "locals",
@@ -106,3 +114,23 @@ class StepLimiter:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         sys.settrace(self._previous)
+
+
+def buffered_print():
+    """A ``print`` for one execution, writing into a bounded buffer.
+
+    Output past :data:`MAX_OUTPUT_CHARS` raises
+    :class:`SandboxViolationError`, and so does every later call, which
+    writes nothing more: code that swallows the error cannot grow the
+    buffer.  Nothing reads the buffer; it is dropped with the execution.
+    """
+    buffer = io.StringIO()
+
+    def sandbox_print(*values, sep=" ", end="\n", file=None, flush=False):
+        if buffer.tell() <= MAX_OUTPUT_CHARS:
+            print(*values, sep=sep, end=end, file=buffer)
+        if buffer.tell() > MAX_OUTPUT_CHARS:
+            raise SandboxViolationError(
+                f"output budget of {MAX_OUTPUT_CHARS} characters exceeded")
+
+    return sandbox_print

@@ -65,6 +65,9 @@ class SimulatedTQAModel(LanguageModel):
         self.seed = seed
         self.name = profile.name
         self._draws = 0
+        #: ``(uid, ε(q))`` of the last question asked: every probability
+        #: of one question reads the same per-question noise.
+        self._noise: tuple = (None, 0.0)
         # Private registry for simulating the model's *internal* reasoning
         # about what its CoT code would produce (never shared with agents).
         self._internal: ExecutorRegistry = default_registry(
@@ -98,34 +101,30 @@ class SimulatedTQAModel(LanguageModel):
             # Out-of-distribution question: the best a model can do is an
             # uncommitted direct answer.
             return [Completion("ReAcTable: Answer: ```unknown```.",
-                               self._logprob_value(False, self._rng("oob")))
-                    for _ in range(n)]
+                               self._logprob(False, "oob"))] * n
+        # Slots that drew the same draw are one completion: each distinct
+        # draw is computed once, in the order the slots first drew it.
+        computed: dict[int, Completion] = {}
         completions = []
-        base_draw = self._next_draw(temperature)
-        batch_rng = self._rng("batch", example.uid, base_draw)
-        for index in range(n):
-            if index == 0 or temperature <= 0:
-                draw = base_draw
-            elif batch_rng.random() < self.profile.batch_diversity:
-                draw = self._next_draw(temperature)
-            else:
-                draw = base_draw
-            if parsed.chain_of_table:
-                completions.append(
-                    self._complete_chain_of_table(example, parsed,
-                                                  temperature, draw))
-            elif parsed.commented:
-                completions.append(
-                    self._complete_commented(example, parsed, temperature,
-                                             draw))
-            elif parsed.cot:
-                completions.append(
-                    self._complete_cot(example, parsed, temperature, draw))
-            else:
-                completions.append(
-                    self._complete_react(example, parsed, temperature,
-                                         draw))
+        for draw in self._slot_draws(example, temperature, n):
+            if draw not in computed:
+                computed[draw] = self._complete_draw(example, parsed,
+                                                     temperature, draw)
+            completions.append(computed[draw])
         return completions
+
+    def _complete_draw(self, example: TQAExample, parsed: ParsedPrompt,
+                       temperature: float, draw: int) -> Completion:
+        """The one completion of ``draw`` in the prompt's mode."""
+        if parsed.chain_of_table:
+            return self._complete_chain_of_table(example, parsed,
+                                                 temperature, draw)
+        if parsed.commented:
+            return self._complete_commented(example, parsed, temperature,
+                                            draw)
+        if parsed.cot:
+            return self._complete_cot(example, parsed, temperature, draw)
+        return self._complete_react(example, parsed, temperature, draw)
 
     # --- seeding helpers --------------------------------------------------------
 
@@ -135,6 +134,24 @@ class SimulatedTQAModel(LanguageModel):
         self._draws += 1
         return self._draws
 
+    def _slot_draws(self, example: TQAExample, temperature: float,
+                    n: int) -> list[int]:
+        """The draw of each of ``n`` slots in one call.
+
+        The first slot takes a fresh draw; each later slot is sampled
+        independently (a fresh draw) with probability ``batch_diversity``
+        and otherwise shares the first slot's draw.
+        """
+        base_draw = self._next_draw(temperature)
+        if n <= 1 or temperature <= 0:
+            return [base_draw] * n
+        batch_rng = self._rng("batch", example.uid, base_draw)
+        return [base_draw] + [
+            self._next_draw(temperature)
+            if batch_rng.random() < self.profile.batch_diversity
+            else base_draw
+            for _ in range(n - 1)]
+
     def _rng(self, *key) -> random.Random:
         hasher = hashlib.blake2b(digest_size=8)
         hasher.update(repr((self.seed, self.profile.name) + key)
@@ -142,8 +159,12 @@ class SimulatedTQAModel(LanguageModel):
         return random.Random(int.from_bytes(hasher.digest(), "big"))
 
     def _question_noise(self, example: TQAExample) -> float:
-        rng = self._rng("qnoise", example.uid)
-        return rng.gauss(0.0, self.profile.question_noise)
+        uid, noise = self._noise
+        if uid != example.uid:
+            rng = self._rng("qnoise", example.uid)
+            noise = rng.gauss(0.0, self.profile.question_noise)
+            self._noise = (example.uid, noise)
+        return noise
 
     # --- probability model --------------------------------------------------------
 
@@ -211,6 +232,13 @@ class SimulatedTQAModel(LanguageModel):
                 else self.profile.logprob_wrong_mean)
         return rng.gauss(mean, self.profile.logprob_std)
 
+    def _logprob(self, correct: bool, *key):
+        """``_logprob_value`` over a fresh RNG keyed by ``key``, built
+        only when the profile exposes log-probabilities."""
+        if not self.profile.provides_logprobs:
+            return None
+        return self._logprob_value(correct, self._rng(*key))
+
     # --- ReAct-mode completion ---------------------------------------------------
 
     def _complete_react(self, example: TQAExample, parsed: ParsedPrompt,
@@ -250,8 +278,7 @@ class SimulatedTQAModel(LanguageModel):
         label = {"sql": "SQL", "python": "Python"}.get(language,
                                                        language.capitalize())
         completion_text = f"ReAcTable: {label}: ```{text}```."
-        logprob = self._logprob_value(
-            correct, self._rng("lp", example.uid, step_index, draw))
+        logprob = self._logprob(correct, "lp", example.uid, step_index, draw)
         return Completion(completion_text, logprob)
 
     def _render_step(self, example: TQAExample, step: CodeStep,
@@ -346,9 +373,8 @@ class SimulatedTQAModel(LanguageModel):
         if not correct:
             values = self._corrupt_answer(example, values, reading_table)
         text = self._format_answer(example, values, reading_table, draw)
-        logprob = self._logprob_value(
-            correct, self._rng("alp", example.uid, draw))
-        return Completion(text, logprob)
+        return Completion(text, self._logprob(correct, "alp", example.uid,
+                                              draw))
 
     def _mental_execute(self, example: TQAExample, parsed: ParsedPrompt,
                         temperature: float, draw: int) -> DataFrame:
@@ -435,9 +461,10 @@ class SimulatedTQAModel(LanguageModel):
                                            draw)
         else:
             joined = "|".join(values) if values else "unknown"
-            wrap = self._rng("verbose", example.uid, draw)
-            if wrap.random() < self.profile.verbose_answer_rate:
-                joined = _verbose_wrap(example.question, values, wrap)
+            if self.profile.verbose_answer_rate > 0:
+                wrap = self._rng("verbose", example.uid, draw)
+                if wrap.random() < self.profile.verbose_answer_rate:
+                    joined = _verbose_wrap(example.question, values, wrap)
         return f"ReAcTable: Answer: ```{joined}```."
 
     def _phrase_sentence(self, example: TQAExample, values: list[str],
@@ -547,8 +574,7 @@ class SimulatedTQAModel(LanguageModel):
             "instead of recalling values from memory.",
         ))
         text = f"{rng.choice(diagnoses)} {advice}"
-        logprob = self._logprob_value(True, rng)
-        return [Completion(text, logprob) for _ in range(n)]
+        return [Completion(text, self._logprob_value(True, rng))] * n
 
     # --- CoT-mode completion -------------------------------------------------------
 
@@ -578,9 +604,8 @@ class SimulatedTQAModel(LanguageModel):
                 correct=correct, sql_fallback=sql_fallback)
             label = {"sql": "SQL", "python": "Python"}[language]
             lines.append(f"ReAcTable: {label}: ```{code}```.")
-            logprobs.append(self._logprob_value(
-                correct, self._rng("cot-lp", example.uid, step_index,
-                                   draw)))
+            logprobs.append(self._logprob(correct, "cot-lp", example.uid,
+                                          step_index, draw))
             # Internal simulation of what this code yields (blind: the
             # model never sees the real intermediate tables in CoT mode).
             try:
@@ -644,8 +669,8 @@ class SimulatedTQAModel(LanguageModel):
         if not correct:
             operator = self._corrupt_operator(example, step, step_index,
                                               parsed, operator)
-        logprob = self._logprob_value(
-            correct, self._rng("ot-lp", example.uid, step_index, draw))
+        logprob = self._logprob(correct, "ot-lp", example.uid, step_index,
+                                draw)
         return Completion(f"ReAcTable: Operator: ```{operator}```.",
                           logprob)
 
@@ -712,9 +737,8 @@ class SimulatedTQAModel(LanguageModel):
             label = {"sql": "SQL", "python": "Python"}[language]
             lines.append(f"# {step.describe()}")
             lines.append(f"ReAcTable: {label}: ```{code}```.")
-            logprobs.append(self._logprob_value(
-                correct, self._rng("cc-lp", example.uid, step_index,
-                                   draw)))
+            logprobs.append(self._logprob(correct, "cc-lp", example.uid,
+                                          step_index, draw))
             # Blind internal simulation, exactly like CoT mode.
             try:
                 executor = self._internal.get(language)

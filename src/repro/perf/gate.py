@@ -5,9 +5,10 @@ Two jobs, both runnable without pytest:
 1. **Correctness smoke** (rate-0-style): with every optimisation disabled
    the engine must produce *identical* results — compiled vs interpreted
    SQL, encode cache on vs off (rendered tables and parsed prompts), plan
-   cache on vs off, and one memoising executor vs a fresh executor per
-   call.  This is the check ``repro perf`` runs as a tier-1-adjacent
-   smoke.
+   cache on vs off, one memoising executor vs a fresh executor per call,
+   and the simulated model's one completion per distinct draw vs every
+   slot recomputed.  This is the check ``repro perf`` runs as a
+   tier-1-adjacent smoke.
 
 2. **Timing gate**: measure the optimised path against its disabled
    counterpart (same process, same machine, back to back), enforce the
@@ -40,7 +41,10 @@ from repro.core.prompt import (
 from repro.datasets.generators import generate_dataset
 from repro.engine.driver import EffectHandler, run_chain
 from repro.engine.effects import Execute, ExecResult
+from repro.engine.scheduler import BatchScheduler
 from repro.executors.registry import ExecutorRegistry, default_registry
+from repro.llm.base import Completion, CompletionRequest
+from repro.llm.simulated import SimulatedTQAModel
 from repro.perf.encode_cache import (
     DEFAULT_ENCODE_CACHE,
     encode_head_row_cached,
@@ -203,15 +207,21 @@ def _parsed(prompts: list[str]) -> list[tuple]:
 
 
 class _EffectRecorder(EffectHandler):
-    """An effect handler that keeps every Execute effect it performs."""
+    """An effect handler that keeps every Execute effect and batched
+    model request it performs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.effects: list[Execute] = []
+        self.requests: list[CompletionRequest] = []
 
     def execute(self, effect: Execute) -> ExecResult:
         self.effects.append(effect)
         return super().execute(effect)
+
+    def model_batch(self, requests):
+        self.requests.extend(requests)
+        return super().model_batch(requests)
 
 
 def _svote_effects(backend: str) -> list[Execute]:
@@ -281,6 +291,55 @@ def _memo_matches_fresh(backend: str) -> bool:
     return True
 
 
+def _svote_model_calls() -> tuple[SimulatedTQAModel, list]:
+    """The model and model calls of one s-vote attempt.
+
+    The five chains run through :class:`BatchScheduler`, so chains that
+    share a prompt share one call with ``n > 1``: four calls of five
+    slots, two of them with a second draw.
+    """
+    bench = generate_dataset("wikitq", size=1, seed=9)
+    example = bench.examples[0]
+    voter = AgentSpec(bank=bench.bank, voting="s-vote").build(3)
+    recorder = _EffectRecorder(voter.model, voter.registry,
+                               catch=voter.handler_catch)
+    BatchScheduler(handler=recorder).run(
+        voter.chain_engines(example.table, example.question))
+    return voter.model, recorder.requests
+
+
+def _per_slot(model: SimulatedTQAModel,
+              request: CompletionRequest) -> list[Completion]:
+    """Every slot of ``request`` computed on its own: no draw sharing."""
+    parsed = parse_prompt(request.prompt)
+    example = model.bank.lookup(parsed.question, parsed.t0)
+    return [model._complete_draw(example, parsed, request.temperature, draw)
+            for draw in model._slot_draws(example, request.temperature,
+                                          request.n)]
+
+
+def _sharing_matches_per_slot() -> bool:
+    """``complete`` must equal recomputing each slot on its own.
+
+    The calls of one built s-vote attempt run in order through one fresh
+    fork's ``complete`` and slot by slot on another, so both forks are in
+    the same state at every call; they must agree on every slot and on
+    the draw counter.  Each call runs as recorded and again greedy,
+    where every call takes the same draw.
+    """
+    model, requests = _svote_model_calls()
+    shared, per_slot = model.fork(model.seed), model.fork(model.seed)
+    handler = EffectHandler(shared, None)
+    for request in requests:
+        for temperature in (request.temperature, 0.0):
+            replay = dataclasses.replace(request, temperature=temperature)
+            completions, = handler.model_batch([replay])
+            if (completions != _per_slot(per_slot, replay)
+                    or shared._draws != per_slot._draws):
+                return False
+    return True
+
+
 def run_checks() -> list[str]:
     """Optimisations-off must equal optimisations-on.  Returns failures."""
     failures: list[str] = []
@@ -332,6 +391,8 @@ def run_checks() -> list[str]:
         if not _memo_matches_fresh(backend):
             failures.append(
                 f"executor memo changed an execution ({backend} backend)")
+    if not _sharing_matches_per_slot():
+        failures.append("draw sharing changed a completion")
     return failures
 
 

@@ -2,8 +2,10 @@
 
 import json
 
+from repro.core.prompt import parse_prompt
 from repro.executors import PythonExecutor, SQLExecutor
 from repro.executors.base import history_key
+from repro.llm import SimulatedTQAModel
 from repro.perf.encode_cache import EncodedTableCache
 from repro.perf.gate import main, run_checks, run_gate
 from repro.table.io import decode_head_row
@@ -99,3 +101,35 @@ class TestExecutorMemoParityCheck:
             PythonExecutor, "_memo_key",
             lambda self, code, tables: (code, history_key(tables)))
         assert run_checks() == self.FAILURES
+
+
+def _share_across_calls(self, prompt, *, temperature=0.0, n=1):
+    """``complete`` with its draw map kept for the model's lifetime."""
+    parsed = parse_prompt(prompt)
+    example = self.bank.lookup(parsed.question, parsed.t0)
+    computed = self.__dict__.setdefault("_kept", {})
+    completions = []
+    for draw in self._slot_draws(example, temperature, n):
+        if draw not in computed:
+            computed[draw] = self._complete_draw(example, parsed,
+                                                 temperature, draw)
+        completions.append(computed[draw])
+    return completions
+
+
+class TestDrawSharingParityCheck:
+    def test_flags_completions_shared_across_calls(self, monkeypatch):
+        monkeypatch.setattr(SimulatedTQAModel, "complete",
+                            _share_across_calls)
+        assert run_checks() == ["draw sharing changed a completion"]
+
+    def test_flags_a_slot_given_the_wrong_draw(self, monkeypatch):
+        def complete(self, prompt, *, temperature=0.0, n=1):
+            parsed = parse_prompt(prompt)
+            example = self.bank.lookup(parsed.question, parsed.t0)
+            draws = self._slot_draws(example, temperature, n)
+            return [self._complete_draw(example, parsed, temperature,
+                                        draws[0]) for _ in draws]
+
+        monkeypatch.setattr(SimulatedTQAModel, "complete", complete)
+        assert run_checks() == ["draw sharing changed a completion"]

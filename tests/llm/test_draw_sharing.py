@@ -25,7 +25,7 @@ from repro.reflect.harvest import FailureReport
 #: and final draw counters under every profile).  Recompute it only for
 #: a change that is meant to alter what the model says.
 CORPUS_DIGEST = (
-    "acd29d42bc728a002f60768270cb0f7d8283f23ed0b134f9a355d1508ea8056e")
+    "b96e34b1aabe7e2a324a96b18a888c6c2b72a3ad21ab8c0ac0e1904510432b9c")
 
 
 class PromptRecorder(LanguageModel):
@@ -44,10 +44,10 @@ class PromptRecorder(LanguageModel):
 def corpus():
     """Prompts of every completion mode over wikitq, tabfact and fetaqa.
 
-    Greedy and s-vote chains (react, with both executors and SQL-only),
-    the cot, chain-of-table and commented-code strategies, a forced
-    answer at every depth of the greedy chain (mental execution), a
-    reflection request and an out-of-bank question.
+    Greedy and s-vote chains of the react (with both executors and
+    SQL-only), cot, chain-of-table and commented-code strategies, a
+    forced answer at every depth of the greedy chain (mental execution),
+    a reflection request and an out-of-bank question.
     """
     bank = QuestionBank()
     examples = [example
@@ -56,10 +56,12 @@ def corpus():
                                                 bank=bank).examples]
     recorder = PromptRecorder(SimulatedTQAModel(bank, seed=2))
     greedy = ReActTableAgent(recorder)
-    runners = [ReActTableAgent(recorder, strategy=strategy)
-               for strategy in ("cot", "chain-of-table", "commented-code")]
+    strategies = ("cot", "chain-of-table", "commented-code")
+    runners = [ReActTableAgent(recorder, strategy=s) for s in strategies]
     runners.append(ReActTableAgent(recorder, registry=sql_only_registry()))
-    runners.append(SimpleMajorityVoting(recorder, n=3, use_scheduler=True))
+    runners.extend(SimpleMajorityVoting(recorder, n=3, use_scheduler=True,
+                                        strategy=s)
+                   for s in ("react",) + strategies)
     extra = []
     for example in examples:
         for runner in runners:

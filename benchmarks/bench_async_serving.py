@@ -1,13 +1,12 @@
-"""Async serving core vs the thread pool and the tick-driven scheduler.
+"""Async serving core vs the thread pool and the sequential driver.
 
 Not a paper experiment — this measures ``repro.aio`` under the same
 simulated API bill as ``bench_batch_scheduler.py`` (a fixed per-round-trip
 latency plus a small per-completion cost).  Three comparisons:
 
-* **chain driving** — 200 greedy chains: sequential driver vs lock-step
-  ``BatchScheduler`` vs ``AsyncChainDriver``.  The async driver must
-  preserve the scheduler's coalescing win (the prior PR's ~7x speedup
-  compounds — it must not regress), with bit-identical answers.
+* **chain driving** — 200 greedy chains: sequential driver vs
+  ``AsyncChainDriver``.  The batched driver must keep its coalescing win
+  (at least 4x), with bit-identical answers.
 * **serving** — 1000+ concurrent requests, 4 tenants, through a
   16-worker ``WorkerPool`` (threads sleeping out the latency) vs an
   ``AsyncServer`` (coroutines awaiting it).  Both substrates hide the
@@ -29,7 +28,6 @@ from harness import MODEL_SEED, benchmark_for, model_for, scale
 
 from repro.aio import AsyncChainDriver, AsyncLanguageModel, AsyncServer
 from repro.core import ReActTableAgent
-from repro.engine import BatchScheduler
 from repro.executors import default_registry
 from repro.llm.base import LanguageModel
 from repro.reporting import save_result
@@ -124,17 +122,6 @@ def _sequential_chains(bench, examples):
     return time.perf_counter() - started, results
 
 
-def _scheduled_chains(bench, examples):
-    model = LatencyModel(model_for(bench))
-    agent = ReActTableAgent(model)
-    engines = [agent.engine_for(ex.table, ex.question)
-               for ex in examples]
-    scheduler = BatchScheduler(model, default_registry())
-    started = time.perf_counter()
-    results = scheduler.run(engines)
-    return time.perf_counter() - started, results
-
-
 def _async_chains(bench, examples):
     model = LatencyModel(model_for(bench))
     agent = ReActTableAgent(model)
@@ -206,13 +193,10 @@ def run_experiment() -> dict:
     examples = bench.examples[:QUESTIONS]
 
     seq_time, seq_results = _sequential_chains(bench, examples)
-    tick_time, tick_results = _scheduled_chains(bench, examples)
     async_time, async_results = _async_chains(bench, examples)
     assert [r.answer for r in async_results] == \
         [r.answer for r in seq_results], \
         "greedy chains must be bit-identical under the async driver"
-    assert [r.answer for r in tick_results] == \
-        [r.answer for r in seq_results]
 
     requests = _serve_requests(bench)
     pool_qps, pool_snapshot = _pool_serving(bench, requests)
@@ -227,9 +211,7 @@ def run_experiment() -> dict:
 
     return {
         "sequential_seconds": seq_time,
-        "tick_seconds": tick_time,
         "async_seconds": async_time,
-        "tick_speedup": seq_time / tick_time,
         "async_speedup": seq_time / async_time,
         "pool_qps": pool_qps,
         "async_qps": async_qps,
@@ -246,13 +228,11 @@ def test_async_serving(benchmark):
     shares = measured["shares"]
 
     lines = [
-        "Async serving core vs thread pool and tick-driven scheduler "
+        "Async serving core vs thread pool and sequential driver "
         f"(simulated {1000 * CALL_LATENCY:.0f}ms/call API latency)",
         "=" * 72,
         f"chain driving: {QUESTIONS} greedy wikitq chains",
         f"{'sequential driver':<34} {measured['sequential_seconds']:>8.2f} s",
-        f"{'BatchScheduler (lock-step)':<34} {measured['tick_seconds']:>8.2f}"
-        f" s  ({measured['tick_speedup']:.1f}x)",
         f"{'AsyncChainDriver (continuous)':<34} {measured['async_seconds']:>8.2f}"
         f" s  ({measured['async_speedup']:.1f}x)",
         "",
@@ -274,11 +254,8 @@ def test_async_serving(benchmark):
     print("\n" + text)
     save_result("async_serving", text)
 
-    assert measured["tick_speedup"] >= 4.0
-    # The continuous batcher must not give back the scheduler's win
-    # (same ticks; the slack covers event-loop overhead per tick).
-    assert measured["async_seconds"] <= measured["tick_seconds"] * 1.6, \
-        "the async driver regressed the batched-driving speedup"
+    # One shared round-trip per tick: with per-call latency dominating,
+    # the batched driver must stay well ahead of the sequential one.
     assert measured["async_speedup"] >= 4.0
     # Both substrates end up GIL-compute-bound at this latency, so the
     # async claim is efficiency, not a multiple: one event-loop thread

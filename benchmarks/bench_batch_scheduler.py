@@ -1,38 +1,40 @@
-"""Batched scheduler vs sequential driving under simulated API latency.
+"""Batched chain driving vs sequential driving under simulated API latency.
 
-Not a paper experiment — this measures the ``repro.engine.BatchScheduler``
-(continuous batching over sans-IO chain engines) against the sequential
-one-call-per-step driver.  The offline simulated model answers instantly,
-which hides exactly the cost batching removes, so a ``LatencyModel``
-wrapper charges every round-trip a fixed per-call latency plus a small
-per-completion cost — the usual API bill.  The scheduler pays the
-per-call latency once per *tick* (all concurrent chains share the
-round-trip) instead of once per chain per step.
+Not a paper experiment — this measures the batched chain driver,
+``repro.aio.AsyncChainDriver`` (continuous batching over sans-IO chain
+engines), against the sequential one-call-per-step driver.  The offline
+simulated model answers instantly, which hides exactly the cost batching
+removes, so a ``LatencyModel`` wrapper charges every round-trip a fixed
+per-call latency plus a small per-completion cost — the usual API bill.
+The batched driver pays the per-call latency once per *tick* (all
+concurrent chains share the round-trip) instead of once per chain per
+step.
 
 Two workloads:
 
-* 200 independent greedy chains, sequential loop vs one scheduler pass —
+* 200 independent greedy chains, sequential loop vs one batched pass —
   greedy chains are draw-free, so the answers must be bit-identical and
   only the wall-clock may differ;
 * s-vote (n=5, temperature 0.6) through a one-worker serving pool with
-  ``batch_scheduler`` off vs on — the ``REPRO_BATCH_SCHEDULER=1`` path.
+  ``batch_scheduler`` off vs on.
 
-Shape assertions: identical greedy answers, scheduler at least 2x faster
-on the chain workload, batched s-vote serving no slower than sequential.
+Shape assertions: identical greedy answers, batched driving at least 2x
+faster on the chain workload, batched s-vote serving no slower than
+sequential.
 """
 
 import time
 
 from harness import MODEL_SEED, benchmark_for, model_for, scale
 
+from repro.aio import AsyncChainDriver
 from repro.core import ReActTableAgent, SimpleMajorityVoting
-from repro.engine import BatchScheduler
 from repro.executors import default_registry
 from repro.llm.base import LanguageModel
 from repro.reporting import save_result
 from repro.serving import WorkerPool
 
-#: Independent chains for the scheduler workload (the issue's floor).
+#: Independent chains for the chain-driving workload.
 QUESTIONS = max(200, scale(200))
 #: Questions for the (slower, 5-chains-each) voted serving workload.
 VOTED_QUESTIONS = max(24, scale(200) // 8)
@@ -106,10 +108,10 @@ def _batched_chains(bench, examples):
     agent = ReActTableAgent(model)
     engines = [agent.engine_for(ex.table, ex.question)
                for ex in examples]
-    scheduler = BatchScheduler(model, default_registry())
+    driver = AsyncChainDriver(model, default_registry())
     started = time.perf_counter()
-    results = scheduler.run(engines)
-    return time.perf_counter() - started, results, model, scheduler
+    results = driver.run_sync(engines)
+    return time.perf_counter() - started, results, model, driver
 
 
 def _voted_serving_qps(bench, examples, batch_scheduler):
@@ -129,11 +131,11 @@ def run_experiment() -> dict:
     examples = bench.examples[:QUESTIONS]
 
     seq_time, seq_results, seq_model = _sequential_chains(bench, examples)
-    bat_time, bat_results, bat_model, scheduler = _batched_chains(
+    bat_time, bat_results, bat_model, driver = _batched_chains(
         bench, examples)
     assert [r.answer for r in bat_results] == \
         [r.answer for r in seq_results], \
-        "greedy chains must be bit-identical under the scheduler"
+        "greedy chains must be bit-identical under the batched driver"
 
     voted = examples[:VOTED_QUESTIONS]
     voted_seq_qps = _voted_serving_qps(bench, voted, False)
@@ -145,8 +147,8 @@ def run_experiment() -> dict:
         "speedup": seq_time / bat_time,
         "sequential_round_trips": seq_model.round_trips,
         "batched_round_trips": bat_model.round_trips,
-        "ticks": scheduler.ticks,
-        "coalesced_requests": scheduler.requests,
+        "ticks": driver.ticks,
+        "coalesced_requests": driver.requests,
         "voted_seq_qps": voted_seq_qps,
         "voted_bat_qps": voted_bat_qps,
     }
@@ -156,13 +158,13 @@ def test_batch_scheduler(benchmark):
     measured = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     lines = [
-        "Batched scheduler vs sequential driving "
+        "Batched chain driving vs sequential driving "
         f"(simulated {1000 * CALL_LATENCY:.0f}ms/call API latency)",
         "=" * 64,
         f"workload: {QUESTIONS} greedy wikitq chains",
         f"{'sequential driver':<32} {measured['sequential_seconds']:>8.2f}"
         f" s  ({measured['sequential_round_trips']} round-trips)",
-        f"{'batch scheduler':<32} {measured['batched_seconds']:>8.2f}"
+        f"{'AsyncChainDriver':<32} {measured['batched_seconds']:>8.2f}"
         f" s  ({measured['batched_round_trips']} round-trips, "
         f"{measured['ticks']} ticks, "
         f"{measured['coalesced_requests']} requests)",
@@ -170,9 +172,9 @@ def test_batch_scheduler(benchmark):
         "",
         f"s-vote (n={VOTE_SAMPLES}) serving pool, {VOTED_QUESTIONS} "
         "questions, 1 worker",
-        f"{'REPRO_BATCH_SCHEDULER=0':<32} {measured['voted_seq_qps']:>8.1f}"
+        f"{'batch_scheduler=False':<32} {measured['voted_seq_qps']:>8.1f}"
         " q/s",
-        f"{'REPRO_BATCH_SCHEDULER=1':<32} {measured['voted_bat_qps']:>8.1f}"
+        f"{'batch_scheduler=True':<32} {measured['voted_bat_qps']:>8.1f}"
         " q/s",
     ]
     text = "\n".join(lines)
@@ -180,8 +182,8 @@ def test_batch_scheduler(benchmark):
     save_result("batch_scheduler", text)
 
     assert measured["speedup"] >= 2.0, \
-        "the scheduler shares one round-trip per tick; with per-call " \
-        "latency dominating it must be well past 2x"
+        "the batched driver shares one round-trip per tick; with " \
+        "per-call latency dominating it must be well past 2x"
     assert measured["batched_round_trips"] <= \
         measured["sequential_round_trips"] / 4
     assert measured["voted_bat_qps"] >= measured["voted_seq_qps"], \

@@ -12,7 +12,7 @@ Two contracts are gated here:
   side of the trade is simply the token sum over those spans.  The
   off/on comparison is persisted to ``results/reflexion_delta.txt``.
 * **Overhead.** With the rung wired but inert (``max_reflections=0``,
-  the ``REPRO_REFLECT=0``-equivalent configuration), the ladder must
+  equivalent to ``reflect=None``), the ladder must
   price in at under 2% wall-clock overhead against a rung-free pool —
   the robustness tier is free until a request actually fails.
 """

@@ -28,7 +28,7 @@ from repro.core import (
     make_voter,
 )
 from repro.datasets import Benchmark, generate_dataset
-from repro.engine import BatchScheduler, ChainEngine, EffectHandler
+from repro.engine import ChainEngine, EffectHandler
 from repro.evalkit import EvalReport, evaluate_agent, evaluate_answer
 from repro.executors import (
     ExecutorRegistry,
@@ -71,7 +71,6 @@ __all__ = [
     "make_voter",
     "ChainEngine",
     "EffectHandler",
-    "BatchScheduler",
     "SQLExecutor",
     "PythonExecutor",
     "ExecutorRegistry",

@@ -11,26 +11,24 @@ at once:
   ``model_call`` / ``model_batch`` over an :class:`AsyncLanguageModel`
   adapter (:mod:`repro.aio.adapter`), same spans/tokens/deadline seam as
   the sync :class:`~repro.engine.EffectHandler`.
-* :class:`ContinuousBatcher` (:mod:`repro.aio.batcher`) — the
-  :class:`~repro.engine.BatchScheduler` generalized from lock-step ticks
-  to continuous batching: chains join mid-flight, identical pending
-  prompts coalesce per tick, finished chains retire immediately.
+* :class:`ContinuousBatcher` (:mod:`repro.aio.batcher`) — continuous
+  batching: chains join mid-flight, identical pending prompts coalesce
+  per tick, finished chains retire immediately.
 * :func:`drive_chain` / :class:`AsyncChainDriver`
-  (:mod:`repro.aio.driver`) — one coroutine per chain; a static engine
-  set reproduces the BatchScheduler's ticks bit-for-bit.
+  (:mod:`repro.aio.driver`) — one coroutine per chain; the repo's one
+  batched chain driver.  A static engine set ticks in lock-step.
 * :class:`WeightedFairQueue` (:mod:`repro.aio.fairness`) — per-tenant
   weighted fair queueing for admission order under backlog.
-* :class:`AsyncServer` (:mod:`repro.aio.server`) — the WorkerPool's
-  retry/breaker/degradation ladder as a coroutine, behind
+* :class:`AsyncServer` (:mod:`repro.aio.server`) — the request ladder
+  (:mod:`repro.serving.ladder`) pumped as a coroutine, behind
   backpressure-aware admission control (bounded in-flight budget, typed
   :class:`~repro.errors.AdmissionRejectedError` shedding) and WFQ.
 * :class:`AsyncBatchEvaluator` (:mod:`repro.aio.evaluate`) — the
   :class:`~repro.serving.batch.BatchEvaluator` twin over the server.
 
-``repro batch --async`` (or ``REPRO_ASYNC_SERVER=1``) selects this path
-from the CLI.  Differential parity with the thread pool — bit-identical
-answers and outcome classifications — is pinned by
-``tests/aio/test_parity.py``.
+``repro batch --async`` selects this path from the CLI.  Differential
+parity with the thread pool — bit-identical answers and outcome
+classifications — is pinned by ``tests/aio/test_parity.py``.
 """
 
 from repro.aio.adapter import AsyncLanguageModel, SyncModelAdapter

@@ -96,8 +96,8 @@ class SyncModelAdapter(AsyncLanguageModel):
             self, requests: list[CompletionRequest]
     ) -> list[list[Completion]]:
         # One sync batch call, not a per-request loop: the inner model's
-        # batch endpoint (and its fault-injection wrappers) must see the
-        # same call shape as under the sync BatchScheduler.
+        # batch endpoint (and its fault-injection wrappers) sees one call
+        # per tick.
         if self.offload:
             return await asyncio.to_thread(
                 self.inner.complete_batch, requests)

@@ -1,11 +1,9 @@
 """Continuous batching: dynamic ticks over an open population of chains.
 
-:class:`~repro.engine.scheduler.BatchScheduler` runs a *closed* set of
-engines in lock-step: every tick waits for every chain, and the batch
-only ends when the last chain finishes.  A server cannot work that way —
-requests arrive continuously and finish at different depths.
-:class:`ContinuousBatcher` keeps the scheduler's coalescing but makes the
-tick membership dynamic:
+A server cannot run chains in lock-step ticks that wait for every chain
+until the last one finishes: requests arrive continuously and finish at
+different depths.  :class:`ContinuousBatcher` coalesces model calls with
+dynamic tick membership:
 
 * **admit** — a chain joins the population at any moment; it is counted
   as *stepping* until it parks its first model call.
@@ -13,8 +11,8 @@ tick membership dynamic:
   :class:`~repro.engine.effects.ModelCall` and suspends the chain on a
   future.  When the last stepping chain parks (or retires), the pending
   set *flushes*: identical ``(prompt, temperature)`` pairs coalesce into
-  one :class:`~repro.llm.base.CompletionRequest` with a summed ``n``,
-  exactly as the lock-step scheduler's tick.
+  one :class:`~repro.llm.base.CompletionRequest` with a summed ``n``
+  (first-seen order preserved).
 * **retire** — a finished chain leaves immediately; nobody waits for it.
 
 The flush runs as its own task, so chains admitted *while a batch is in
@@ -25,12 +23,12 @@ Accounting invariant: ``_stepping`` counts chains that are admitted but
 neither parked nor retired.  A flush re-marks each member as stepping
 *before* resolving its future, so the next tick cannot fire until every
 woken chain has parked again — this is what makes a static population
-reproduce the BatchScheduler's ticks bit-for-bit (same groups, same
-order, same draws; pinned by ``tests/aio/test_batcher.py``).
+tick in lock-step, bit for bit (same groups, same order, same draws;
+pinned against ``tests/engine/lockstep.py``).
 
 Mis-sized batches (the chaos harness's ``wrong_n`` fault) starve the tail
 members of a coalesced group, which absorb the empty slice via the
-engine's forcing ladder — the same contract as both sync drivers.
+engine's forcing ladder — the same contract as the sync drivers.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ class ContinuousBatcher:
         #: Chains admitted but neither parked nor retired.
         self._stepping = 0
         #: Round-trips performed / logical requests inside them — the
-        #: same evidence counters as ``BatchScheduler``.
+        #: coalescing evidence.
         self.ticks = 0
         self.requests = 0
         #: Population accounting and tick-shape high-water marks.

@@ -1,21 +1,24 @@
-"""One coroutine per chain: the async twin of the engine drivers.
+"""One coroutine per chain: the batched chain driver.
 
 :func:`drive_chain` pumps a single sans-IO
 :class:`~repro.engine.ChainEngine` to completion, parking its model calls
 in a :class:`~repro.aio.batcher.ContinuousBatcher` and draining execute
-effects inline (local compute, same within-tick ordering as the sync
-drivers).  :class:`AsyncChainDriver` is the BatchScheduler-shaped
-convenience wrapper: give it engines, get results in input order.
+effects inline (local compute, same within-step ordering as the sync
+drivers).  :class:`AsyncChainDriver` runs a static population: give it
+engines, get results in input order.  It is the one batched driver —
+the async server's voted attempts, ``SimpleMajorityVoting`` and
+``HeterogeneousEnsemble`` with ``use_scheduler=True``, and ``repro
+perf``'s draw-sharing check all run their chains through it.
 
 Determinism: with a static engine population the event loop wakes the
-chain coroutines in creation order, so they park in input order, the
-batcher's groups form in the scheduler's collection order, and every tick
-is *identical* to the corresponding ``BatchScheduler`` tick — the same
-``complete_batch`` call sequence reaches the model, so even sampled
-(temperature > 0) chains draw the same stream and produce bit-identical
-results (pinned by ``tests/aio/test_driver.py``).  Under a dynamic
-population (the server) ticks depend on arrival timing — the thread-pool
-determinism contract.
+chain coroutines in creation order, so they park in input order and the
+batcher's groups form in input order.  Every tick is a lock-step tick:
+it waits for every unfinished chain, so the same ``complete_batch`` call
+sequence reaches the model on every run and even sampled (temperature >
+0) chains produce bit-identical results (pinned against the lock-step
+reference in ``tests/engine/lockstep.py`` by ``tests/aio/test_driver.py``).
+Under a dynamic population (the server) ticks depend on arrival timing —
+the thread-pool determinism contract.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = ["drive_chain", "AsyncChainDriver"]
 async def drive_chain(engine: ChainEngine,
                       batcher: ContinuousBatcher,
                       handler: AsyncEffectHandler | None = None,
-                      *, tracer=None, pre_admitted: bool = False) -> AgentResult:
+                      *, pre_admitted: bool = False) -> AgentResult:
     """Drive ``engine`` to completion through ``batcher``.
 
     ``handler`` (defaults to the batcher's) performs the synchronous
@@ -57,34 +60,22 @@ async def drive_chain(engine: ChainEngine,
     try:
         while engine.state != "done":
             result = await batcher.call(engine.next_effect())
-            _flush_notes(engine, tracer)
             engine.send(result)
             while engine.state == "exec":
                 engine.send(handler.execute(engine.next_effect()))
-            _flush_notes(engine, tracer)
+            engine.drain_notes()
     finally:
         batcher.retire()
     return engine.result
 
 
-def _flush_notes(engine: ChainEngine, tracer) -> None:
-    notes = engine.drain_notes()
-    if tracer is None:
-        return
-    for kind, iteration, data in notes:
-        if kind == "end":
-            tracer.end_chain(iteration, **data)
-        else:
-            tracer.emit(kind, iteration, **data)
-
-
 class AsyncChainDriver:
     """Run many engines as coroutines over one shared batcher.
 
-    The constructor mirrors :class:`~repro.engine.BatchScheduler`
-    (``model`` + ``registry``, or a prebuilt ``handler``); :meth:`run`
-    awaits all engines, :meth:`run_sync` wraps it in ``asyncio.run`` for
-    synchronous callers (benchmarks, tests).
+    Build it from ``model`` + ``registry`` (with the executor envelope
+    ``catch``) or from a prebuilt ``handler``; :meth:`run` awaits all
+    engines, :meth:`run_sync` wraps it in ``asyncio.run`` for
+    synchronous callers (the voters' batched path, benchmarks, tests).
     """
 
     def __init__(self, model=None, registry=None, *,
@@ -110,7 +101,7 @@ class AsyncChainDriver:
         """Drive every engine to completion; results in input order."""
         engines = list(engines)
         # Admit the whole population before any chain runs, so the first
-        # tick waits for everyone — the lock-step-equivalence guarantee.
+        # tick waits for everyone — the lock-step guarantee.
         for _ in engines:
             self.batcher.admit()
         return await asyncio.gather(

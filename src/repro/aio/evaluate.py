@@ -64,7 +64,6 @@ class AsyncBatchEvaluator:
         self.breakers = breakers
         self.tenant_weights = tenant_weights
         self.tenant = tenant
-        # None defers to the server's REPRO_REFLECT env switch.
         self.reflect = reflect
         #: Responses of the most recent evaluation, in benchmark order.
         self.last_responses = []

@@ -1,4 +1,4 @@
-"""The async server: the WorkerPool's ladder as a coroutine, with admission.
+"""The async server: the request ladder as a coroutine, with admission.
 
 Dataflow of one request::
 
@@ -9,43 +9,29 @@ Dataflow of one request::
                  └─ budget full, queue full ──► typed rejection
                                                 (AdmissionRejectedError,
                                                  outcome="rejected")
-    dispatch ──► cache lookup ── hit ──► response
-             └─ miss: circuit breaker allow?
-                   │  per-attempt deadline (handler seam)
-                   │  bounded retries (reseeded, async backoff)
-                   │  exhausted → forced direct answer
-                   │  even that failed → classified error
-                   ▼
-                cache store ──► response
+    dispatch ──► request ladder ──► response
 
-The retry/breaker/degradation ladder is a line-for-line mirror of
-:meth:`repro.serving.pool.WorkerPool._answer_inner` — same attempt
-seeds, same breaker protocol, same optional reflexion rung (the shared
-:class:`~repro.serving.policy.ReflectionRung`, run thread-side), same
-degraded rung (no deadline, request seed), same
-:func:`~repro.serving.policy.classify_failure` taxonomy —
-so the two paths return bit-identical responses for the same requests
-(``tests/aio/test_parity.py``).  What changes is the execution substrate:
+The server is a thin shell over
+:class:`~repro.serving.ladder.RequestLadder`, the ladder the thread pool
+runs too, so the two return equal responses for the same requests
+(``tests/aio/test_parity.py``).  It keeps only its own substrate:
 
 * a request is a *coroutine*, not a thread — the in-flight budget
   (``max_inflight``) can be hundreds without hundreds of stacks;
 * chain runners (greedy and s-vote) are driven through a per-attempt
   :class:`~repro.aio.batcher.ContinuousBatcher` (voted chains coalesce
-  their ticks, the ``REPRO_BATCH_SCHEDULER`` contract); blocking
-  tree/execution voters run in worker threads via ``asyncio.to_thread``;
+  their ticks), with the deadline on the
+  :class:`~repro.aio.handler.AsyncEffectHandler` seam; blocking
+  tree/execution voters and the reflexion and degraded rungs run in
+  worker threads via ``asyncio.to_thread``;
 * admission order under backlog is per-tenant weighted fair queueing
   (:class:`~repro.aio.fairness.WeightedFairQueue`), not FIFO: one chatty
   tenant cannot starve the rest;
 * overload is *shed*, not buffered without bound: a full queue raises
   :class:`~repro.errors.AdmissionRejectedError` immediately (retryable —
   the client's signal to back off), and :meth:`answer` folds it into an
-  ``outcome="rejected"`` response.
-
-Deadlines ride the :class:`~repro.aio.handler.AsyncEffectHandler` seam
-(checked at every model boundary), so they bind to *every* chain runner —
-no ``runner.model`` monkey-patching; the thread-dispatched voters keep
-the pool's :class:`~repro.serving.policy.DeadlineModel` wrap with the
-same loud ``deadline_unattached`` metric when a runner can't carry one.
+  ``outcome="rejected"`` response;
+* identical in-flight requests share one future.
 
 Telemetry: each request's span tree (``request`` → ``attempt`` →
 ``agent_run``/``vote_run`` → ``model_call``) lives in its own asyncio
@@ -56,42 +42,32 @@ interleave on one loop.
 from __future__ import annotations
 
 import asyncio
-import time
 
 from repro.aio.batcher import ContinuousBatcher
-from repro.aio.driver import drive_chain
+from repro.aio.driver import AsyncChainDriver, drive_chain
 from repro.aio.fairness import WeightedFairQueue
 from repro.aio.handler import AsyncEffectHandler
 from repro.errors import (
     AdmissionRejectedError,
-    CircuitOpenError,
     ExecutionError,
     QueueClosedError,
     ServingError,
-    ServingTimeoutError,
-    is_retryable,
 )
-from repro.serving.breaker import BreakerConfig, CircuitBreaker
-from repro.serving.cache import AnswerCache, CachedAnswer, request_fingerprint
+from repro.serving.breaker import BreakerConfig
+from repro.serving.cache import AnswerCache, request_fingerprint
+from repro.serving.ladder import Attempt, Backoff, RequestLadder
 from repro.serving.metrics import ServingMetrics
-from repro.serving.policy import (
-    DeadlineModel,
-    ReflectionRung,
-    ReflectPolicy,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.serving.policy import ReflectPolicy, RetryPolicy
 from repro.serving.request import TQARequest, TQAResponse
 from repro.table.frame import DataFrame
-from repro.telemetry.spans import Telemetry, activate, span
+from repro.telemetry.spans import Telemetry, span
 
 __all__ = ["AsyncServer"]
 
 
-class AsyncServer:
+class AsyncServer(RequestLadder):
     """Serve TQA requests as coroutines behind admission control.
 
-    ``spec`` is an :class:`~repro.serving.spec.AgentSpec`-shaped object.
     ``max_inflight`` bounds concurrently *running* requests;
     ``max_queued`` bounds requests parked in the fair queue behind them
     (``None`` = unbounded queue, never reject).  ``tenant_weights`` maps
@@ -100,9 +76,9 @@ class AsyncServer:
     response)`` once per settled primary request (rejections included,
     coalesced replicas excluded) — the seam the observability daemon
     uses to drive SLO accounting and tail sampling with the request's
-    chain/trace id in hand.  The remaining collaborators (cache,
-    policy, metrics, tracer, breakers, telemetry) have
-    :class:`~repro.serving.pool.WorkerPool` semantics.
+    chain/trace id in hand.  The remaining collaborators (spec, cache,
+    policy, metrics, tracer, breakers, telemetry, reflect) are the
+    :class:`~repro.serving.ladder.RequestLadder`'s.
 
     Use as an async context manager, or call :meth:`close` when done.
     """
@@ -123,47 +99,18 @@ class AsyncServer:
             raise ValueError("max_inflight must be >= 1")
         if max_queued is not None and max_queued < 0:
             raise ValueError("max_queued must be >= 0 (or None)")
-        self.spec = spec
+        super().__init__(spec, cache=cache, policy=policy, metrics=metrics,
+                         tracer=tracer, breakers=breakers,
+                         telemetry=telemetry, reflect=reflect)
         self.max_inflight = max_inflight
         self.max_queued = max_queued
-        self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or ServingMetrics()
-        self.tracer = tracer
-        if telemetry is None and tracer is not None:
-            telemetry = getattr(tracer, "telemetry", None)
-        self.telemetry = telemetry
         self.queue = WeightedFairQueue(weights=tenant_weights)
-        # The reflexion rung, shared-policy with the pool (``None``
-        # defers to ``REPRO_REFLECT=1``).
-        if reflect is None:
-            reflect = ReflectPolicy.from_env()
-        elif reflect is True:
-            reflect = ReflectPolicy()
-        elif reflect is False:
-            reflect = None
-        self.reflect_policy = reflect
-        self._reflect_rung: ReflectionRung | None = None
-        if reflect is not None:
-            self._reflect_rung = ReflectionRung(
-                spec, self.policy, reflect, metrics=self.metrics)
         self.on_complete = on_complete
         self._sleep = sleep
         self._active = 0
         self._inflight: dict[str, asyncio.Future] = {}
         self._request_counter = 0
         self._closed = False
-        self._breaker: CircuitBreaker | None = None
-        if breakers is not None:
-            backend = getattr(spec, "profile", None) or "default"
-            self._breaker = CircuitBreaker(
-                backend, config=breakers,
-                on_transition=self._on_breaker_transition)
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The spec backend's circuit breaker (``None`` when disabled)."""
-        return self._breaker
 
     @property
     def active(self) -> int:
@@ -226,14 +173,18 @@ class AsyncServer:
         key = None
         if self.cache is not None:
             key = request_fingerprint(request, config=self.spec.config_key)
-            # Coalesce onto an identical in-flight computation.  shield():
-            # one cancelled duplicate must not cancel the shared primary.
+            # Coalesce onto an identical in-flight computation.  wait(),
+            # not await: a cancelled duplicate must not cancel the shared
+            # primary, and a cancelled primary must not cancel its
+            # duplicates — the first of them re-submits as the new one.
             primary = self._inflight.get(key)
             if primary is not None:
                 self.metrics.record_coalesced()
                 self._trace(chain, "coalesce", uid=uid)
-                response = await asyncio.shield(primary)
-                return response.replica(uid, coalesced=True)
+                await asyncio.wait((primary,))
+                if primary.cancelled():
+                    return await self.submit_request(request)
+                return primary.result().replica(uid, coalesced=True)
             self._inflight[key] = asyncio.get_running_loop().create_future()
         self._trace(chain, "enqueue", uid=uid, question=request.question)
         # Admission: run now, park fairly, or shed.  All bookkeeping up
@@ -266,13 +217,8 @@ class AsyncServer:
         try:
             try:
                 response = await self._answer(chain, uid, key, request)
-            except asyncio.CancelledError:
-                raise
             except Exception as exc:  # last-resort: always classify
-                response = TQAResponse(
-                    uid=uid, answer=[],
-                    error=f"{type(exc).__name__}: {exc}",
-                    outcome=classify_failure(exc))
+                response = self._failure_response(uid, exc)
         finally:
             if key is not None:
                 future = self._inflight.pop(key, None)
@@ -340,152 +286,32 @@ class AsyncServer:
         if future is not None and not future.done():
             future.cancel()
 
-    # --- tracing ------------------------------------------------------------
-
-    def _trace(self, chain: int, kind: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit_for(chain, f"serving_{kind}", 0, **data)
-
-    def _on_breaker_transition(self, backend: str, old_state: str,
-                               new_state: str) -> None:
-        self.metrics.record_breaker_transition(old_state, new_state)
-        self._trace(0, "breaker_transition", backend=backend,
-                    old_state=old_state, new_state=new_state)
-
-    # --- the ladder (mirrors WorkerPool._answer_inner) ----------------------
+    # --- the ladder's effects -----------------------------------------------
 
     async def _answer(self, chain: int, uid: str, key: str | None,
                       request: TQARequest) -> TQAResponse:
-        with activate(self.telemetry), \
-                span("request", trace_id=chain, uid=uid) as request_span:
-            response = await self._answer_inner(chain, uid, key, request)
-            if request_span is not None:
-                request_span.set(outcome=response.outcome,
-                                 cached=response.cached,
-                                 degraded=response.degraded,
-                                 attempts=response.attempts)
-            return response
-
-    async def _answer_inner(self, chain: int, uid: str, key: str | None,
-                            request: TQARequest) -> TQAResponse:
-        started = time.perf_counter()
-        if key is not None:
-            cached = self.cache.get(key)
-            hit = cached is not None
-            self.metrics.record_cache(hit)
-            self._trace(chain, "cache_hit" if hit else "cache_miss",
-                        uid=uid)
-            if hit:
-                return cached.to_response(
-                    uid, latency=time.perf_counter() - started)
-        result = None
-        last_error = ""
-        last_exc: Exception | None = None
-        attempts = 0
-        breaker = self._breaker
-        for attempt in range(self.policy.max_attempts):
-            if breaker is not None and not breaker.allow():
-                last_exc = CircuitOpenError(
-                    f"backend {breaker.backend!r} circuit is open")
-                last_error = str(last_exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempt + 1,
-                            backend=breaker.backend)
-                break
-            attempts = attempt + 1
-            seed = self.policy.attempt_seed(request.seed, attempt)
+        """Pump the ladder, performing its effects on the event loop."""
+        steps = self._steps(chain, uid, key, request)
+        resume, value = steps.send, None
+        while True:
             try:
-                with span("attempt", index=attempts):
-                    result = await self._run_attempt(request, seed)
-                if breaker is not None:
-                    breaker.record_success()
-                break
-            except ServingTimeoutError as exc:
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_timeout()
-                self._trace(chain, "timeout", uid=uid, attempt=attempts)
-            except asyncio.CancelledError:
-                raise
-            except CircuitOpenError as exc:
-                # A circuit opened *mid-attempt*: account it as a
-                # rejection, not a fresh backend failure, and stop
-                # burning attempts — exactly the pool's treatment.
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempts, mid_attempt=True)
-                break
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                self._trace(chain, "error", uid=uid, attempt=attempts,
-                            error=last_error,
-                            retryable=is_retryable(exc))
-            if breaker is not None:
-                breaker.record_failure()
-            if attempt + 1 < self.policy.max_attempts:
-                self.metrics.record_retry()
-                self._trace(chain, "retry", uid=uid,
-                            next_attempt=attempts + 1)
-                delay = self.policy.backoff_delay(request.seed, attempt)
-                if delay > 0:
-                    self.metrics.record_backoff(delay)
-                    self._trace(chain, "backoff", uid=uid,
-                                delay=round(delay, 6))
-                    await self._sleep(delay)
-        reflections = 0
-        reflected = False
-        if self._reflect_rung is not None:
-            # The reflexion rung (thread-side: it drives the sync chain
-            # engines), sharing the pool's policy and accounting.
-            rung = self._reflect_rung
-            (result, reflections, reflected, last_exc,
-             last_error) = await asyncio.to_thread(
-                rung.attempt, request, result, last_exc,
-                last_error=last_error, attempts=attempts, breaker=breaker,
-                trace=lambda kind, **data: self._trace(
-                    chain, kind, uid=uid, **data))
-        degraded = False
-        if result is None and self.policy.degrade_on_exhaustion:
-            # The §3.3 fallback rung: forced direct answer, request seed,
-            # no deadline — exactly the pool's degraded contract.
-            degraded = True
-            self._trace(chain, "degraded", uid=uid)
+                effect = resume(value)
+            except StopIteration as stop:
+                return stop.value
             try:
-                with span("degraded_attempt"):
-                    runner = self.spec.build_forced(request.seed)
-                    result = await asyncio.to_thread(
-                        runner.run, request.table, request.question)
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                result = None
-        if result is None:
-            return TQAResponse(uid=uid, answer=[], degraded=degraded,
-                               attempts=attempts, reflections=reflections,
-                               error=last_error,
-                               latency=time.perf_counter() - started,
-                               outcome=classify_failure(last_exc))
-        outcome = ("degraded" if degraded
-                   else "reflected" if reflected
-                   else "retried" if attempts > 1 else "ok")
-        response = TQAResponse(
-            uid=uid, answer=list(result.answer),
-            iterations=getattr(result, "iterations", 0),
-            forced=bool(getattr(result, "forced", False)) or degraded,
-            handling_events=list(
-                getattr(result, "handling_events", ()) or ()),
-            degraded=degraded, attempts=attempts, reflections=reflections,
-            error=last_error,
-            latency=time.perf_counter() - started, outcome=outcome)
-        if key is not None and not degraded:
-            self.cache.put(key, CachedAnswer.from_response(response))
-        return response
-
-    # --- attempt dispatch ---------------------------------------------------
+                if isinstance(effect, Attempt):
+                    value = await self._run_attempt(effect.request,
+                                                    effect.seed)
+                elif isinstance(effect, Backoff):
+                    value = await self._sleep(effect.delay)
+                else:
+                    value = await asyncio.to_thread(effect.call)
+                resume = steps.send
+            except BaseException as exc:
+                # Back into the ladder, which handles what it can and
+                # re-raises the rest (cancellation too) once its spans
+                # are closed.
+                resume, value = steps.throw, exc
 
     async def _run_attempt(self, request: TQARequest, seed: int):
         """One seeded attempt, dispatched by runner capability.
@@ -493,27 +319,22 @@ class AsyncServer:
         Chain runners (``engine_for`` / ``chain_engines``) are driven as
         coroutines through a per-attempt continuous batcher with the
         deadline on the handler seam; blocking voters (tree/execution)
-        keep the pool's thread-side path via ``asyncio.to_thread``.
+        run in a worker thread under the ladder's ``DeadlineModel`` wrap.
         """
         runner = self.spec.build(seed)
         deadline = self.policy.deadline()
         table, question = request.table, request.question
         if hasattr(runner, "chain_engines"):
-            # s-vote / ensemble: n chains coalescing their ticks (the
-            # REPRO_BATCH_SCHEDULER contract, always on here).  The
+            # s-vote / ensemble: n chains coalescing their ticks.  The
             # runner's exception envelope travels with it: voting-family
             # runners swallow branch failures, the greedy chain does not.
-            batcher = ContinuousBatcher(AsyncEffectHandler(
+            driver = AsyncChainDriver(handler=AsyncEffectHandler(
                 runner.model, runner.registry, deadline=deadline,
                 catch=getattr(runner, "handler_catch",
                               (ExecutionError,))))
             engines = runner.chain_engines(table, question)
-            for _ in engines:
-                batcher.admit()    # whole population before the first tick
             with span("vote_run", method="s-vote", n=runner.n):
-                results = await asyncio.gather(
-                    *(drive_chain(engine, batcher, pre_admitted=True)
-                      for engine in engines))
+                results = await driver.run(engines)
             return runner.tally(results)
         if hasattr(runner, "engine_for"):
             # Greedy single chain.
@@ -526,14 +347,3 @@ class AsyncServer:
                     runner.engine_for(table, question), batcher)
         return await asyncio.to_thread(
             self._run_blocking, runner, request, deadline)
-
-    def _run_blocking(self, runner, request: TQARequest, deadline):
-        """The pool's thread-side attempt for non-chain runners."""
-        if deadline is not None:
-            if hasattr(runner, "model"):
-                runner.model = DeadlineModel(runner.model, deadline)
-            else:
-                self.metrics.record_deadline_unattached()
-                self._trace(0, "deadline_unattached", uid=request.uid,
-                            runner=type(runner).__name__)
-        return runner.run(request.table, request.question)

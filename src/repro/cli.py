@@ -11,8 +11,8 @@ Subcommands:
   accuracy plus the iteration histogram.
 * ``batch`` — the same evaluation through the concurrent serving layer
   (worker pool + answer cache), with serving metrics.  ``--strategy``
-  (or ``REPRO_STRATEGY``) picks any registered reasoning strategy or an
-  ``ensemble:a+b+c`` heterogeneous vote.
+  picks any registered reasoning strategy or an ``ensemble:a+b+c``
+  heterogeneous vote.
 * ``bench strategies`` — the cross-strategy evaluation matrix: every
   registered strategy plus the heterogeneous ensemble over seeded
   WikiTQ/TabFact suites, written to ``results/strategy_matrix.txt``.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.core import ReActTableAgent, make_voter
@@ -147,18 +146,16 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _resolve_strategy(value: str | None) -> str:
-    """The effective ``--strategy`` value, validated against the registry.
+def _resolve_strategy(strategy: str) -> str:
+    """The ``--strategy`` value, validated against the registry.
 
-    Precedence: explicit flag, then ``REPRO_STRATEGY``, then the react
-    default.  Raises :class:`repro.errors.StrategyError` for unknown
-    names and malformed ensemble specs, so callers can turn it into a
-    clean usage error instead of a traceback.
+    Raises :class:`repro.errors.StrategyError` for unknown names and
+    malformed ensemble specs, so callers can turn it into a clean usage
+    error instead of a traceback.
     """
     from repro.strategies import (get_strategy, is_ensemble_spec,
                                   parse_ensemble_spec)
 
-    strategy = value or os.environ.get("REPRO_STRATEGY") or "react"
     if is_ensemble_spec(strategy):
         parse_ensemble_spec(strategy)
     else:
@@ -188,30 +185,21 @@ def _cmd_batch(args) -> int:
     policy = RetryPolicy(timeout=args.timeout, max_retries=args.retries)
     metrics = ServingMetrics()
     tracer = ChainTracer() if args.trace else None
-    # --async (or REPRO_ASYNC_SERVER=1) swaps the thread pool for the
-    # asyncio serving core: same ladder, coroutine concurrency.
-    use_async = args.use_async or (
-        os.environ.get("REPRO_ASYNC_SERVER", "0") == "1")
-    # --reflect (or REPRO_REFLECT=1) arms the reflexion rung; None
-    # leaves the decision to the serving layer's env switch.
-    reflect = True if args.reflect else None
-    if use_async:
+    # --async swaps the thread pool for the asyncio serving core: same
+    # ladder, coroutine concurrency.  --reflect arms the reflexion rung.
+    if args.use_async:
         from repro.aio import AsyncBatchEvaluator
 
         evaluator = AsyncBatchEvaluator(
             spec, max_inflight=args.max_inflight, seed=args.model_seed,
             cache=cache, policy=policy, metrics=metrics, tracer=tracer,
-            reflect=reflect)
+            reflect=args.reflect)
         concurrency = f"async max_inflight={args.max_inflight}"
     else:
         evaluator = BatchEvaluator(spec, workers=args.workers,
                                    seed=args.model_seed, cache=cache,
                                    policy=policy, metrics=metrics,
-                                   tracer=tracer,
-                                   batch_scheduler=(
-                                       True if args.batch_scheduler
-                                       else None),
-                                   reflect=reflect)
+                                   tracer=tracer, reflect=args.reflect)
         concurrency = f"workers={args.workers}"
     report = evaluator.evaluate(benchmark)
     snapshot = metrics.snapshot()
@@ -232,7 +220,7 @@ def _cmd_batch(args) -> int:
           f"timeouts: {snapshot['timeouts']}  "
           f"retries: {snapshot['retries']}  "
           f"forced answers: {snapshot['forced_answers']}")
-    if reflect or snapshot["reflections"]:
+    if args.reflect:
         outcomes = snapshot["outcomes"]
         print(f"reflections: {snapshot['reflections']}  "
               f"reflected outcomes: {outcomes.get('reflected', 0)}")
@@ -370,12 +358,9 @@ def _cmd_chaos(args) -> int:
     tracer = ChainTracer() if args.trace else None
     # --async runs the sweep through the asyncio serving core instead of
     # the thread pool — the rate-0 verification then proves *that*
-    # ladder's fault-path passthrough is bit-identical too.
-    use_async = args.use_async or (
-        os.environ.get("REPRO_ASYNC_SERVER", "0") == "1")
-
+    # server's fault-path passthrough is bit-identical too.
     def build_evaluator(eval_spec, eval_metrics=None, eval_tracer=None):
-        if use_async:
+        if args.use_async:
             from repro.aio import AsyncBatchEvaluator
 
             return AsyncBatchEvaluator(
@@ -388,7 +373,7 @@ def _cmd_chaos(args) -> int:
                               metrics=eval_metrics, tracer=eval_tracer,
                               breakers=breakers)
 
-    concurrency = (f"async max_inflight={args.workers}" if use_async
+    concurrency = (f"async max_inflight={args.workers}" if args.use_async
                    else f"workers={args.workers}")
     print(f"dataset={args.dataset} model={args.model} n={len(benchmark)} "
           f"{concurrency} retries={args.retries} "
@@ -464,8 +449,7 @@ def _cmd_bench(args) -> int:
     if args.bench_command == "strategies":
         results = run_matrix(size=args.size, seed=args.seed,
                              model_seed=args.model_seed,
-                             profile=args.model,
-                             use_scheduler=args.batch_scheduler)
+                             profile=args.model)
         text = render_matrix(results, size=args.size, profile=args.model)
         print(text)
         if not args.no_save:
@@ -630,25 +614,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra attempts before degrading")
     batch.add_argument("--async", dest="use_async", action="store_true",
                        help="serve through the asyncio core (continuous "
-                            "batching + admission control; also enabled "
-                            "by REPRO_ASYNC_SERVER=1)")
+                            "batching + admission control)")
     batch.add_argument("--max-inflight", type=_at_least(1), default=64,
                        help="async mode: concurrent in-flight request "
                             "budget")
-    batch.add_argument("--batch-scheduler", action="store_true",
-                       help="drive voted runners through the sans-IO "
-                            "BatchScheduler (coalesced model calls; also "
-                            "enabled by REPRO_BATCH_SCHEDULER=1)")
-    batch.add_argument("--strategy", default=None, metavar="NAME",
+    batch.add_argument("--strategy", default="react", metavar="NAME",
                        help="reasoning strategy (react, cot, "
                             "chain-of-table, commented-code) or an "
-                            "ensemble:a+b+c heterogeneous vote; defaults "
-                            "to $REPRO_STRATEGY, then react")
+                            "ensemble:a+b+c heterogeneous vote")
     batch.add_argument("--reflect", action="store_true",
                        help="arm the reflexion rung: failed attempts "
                             "harvest a failure report, generate a verbal "
-                            "reflection, and re-run with it injected "
-                            "(also enabled by REPRO_REFLECT=1)")
+                            "reflection, and re-run with it injected")
     batch.add_argument("--metrics-out", metavar="PATH",
                        help="write serving metrics as JSON to PATH")
     batch.add_argument("--trace", metavar="PATH",
@@ -717,9 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workers", type=_at_least(1), default=4)
     chaos.add_argument("--async", dest="use_async", action="store_true",
                        help="sweep through the asyncio serving core "
-                            "instead of the thread pool (also enabled by "
-                            "REPRO_ASYNC_SERVER=1); the rate-0 check then "
-                            "verifies that ladder's passthrough")
+                            "instead of the thread pool; the rate-0 check "
+                            "then verifies that server's passthrough")
     chaos.add_argument("--rates", default="0,0.05,0.2",
                        help="comma-separated per-call fault rates")
     chaos.add_argument("--fault-latency", type=float, default=0.02,
@@ -757,9 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     b_strategies.add_argument("--seed", type=int, default=11)
     b_strategies.add_argument("--model", default="codex-sim")
     b_strategies.add_argument("--model-seed", type=int, default=1)
-    b_strategies.add_argument("--batch-scheduler", action="store_true",
-                              help="drive the ensemble through the "
-                                   "sans-IO BatchScheduler")
     b_strategies.add_argument("--no-save", action="store_true",
                               help="print the matrix without writing "
                                    "results/strategy_matrix.txt")

@@ -107,7 +107,7 @@ class ReActTableAgent:
 
         The hook batched drivers use: the returned engine carries this
         agent's prompt builder, temperature and iteration caps, ready to
-        be driven by a :class:`repro.engine.BatchScheduler` alongside
+        be driven by a :class:`repro.aio.AsyncChainDriver` alongside
         other chains.  The engine class itself comes from the strategy
         registry — ``react`` by default, any registered strategy via the
         ``strategy`` constructor knob.

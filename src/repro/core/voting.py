@@ -25,8 +25,8 @@ is wrapped in a ``vote_run`` span carrying the method name.
 
 :class:`SimpleMajorityVoting` additionally supports the batched driver:
 with ``use_scheduler=True`` (the serving pool sets it under
-``REPRO_BATCH_SCHEDULER=1``) its *n* chains run concurrently through a
-:class:`repro.engine.BatchScheduler`, which coalesces identical pending
+``batch_scheduler=True``) its *n* chains run concurrently through a
+:class:`repro.aio.AsyncChainDriver`, which coalesces identical pending
 prompts across chains into single batched completions.
 """
 
@@ -40,7 +40,6 @@ from repro.core.actions import ActionKind, parse_action
 from repro.core.agent import HARD_ITERATION_CAP, ReActTableAgent
 from repro.engine.core import ChainEngine
 from repro.engine.driver import EffectHandler
-from repro.engine.scheduler import BatchScheduler
 from repro.errors import ActionParseError, ModelError, StrategyError
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.llm.base import LanguageModel
@@ -126,7 +125,7 @@ class SimpleMajorityVoting:
     """Algorithm 1: n independent chains, majority answer.
 
     ``use_scheduler=True`` switches from n sequential agent runs to one
-    :class:`repro.engine.BatchScheduler` pass driving all n chains
+    :class:`repro.aio.AsyncChainDriver` pass driving all n chains
     concurrently with coalesced model calls.  Same voting policy, one
     batched round-trip per tree level instead of one call per step.
     """
@@ -172,8 +171,8 @@ class SimpleMajorityVoting:
                       question: str) -> list[ChainEngine]:
         """The voter's *n* independent chains as sans-IO engines.
 
-        The seam for external drivers (the batched scheduler here, the
-        async server's continuous batcher): drive these however you like,
+        The seam for external drivers (the batched chain driver here and
+        in the async server): drive these however you like,
         then combine the results with :meth:`tally` — same voting policy,
         any sequencing.
         """
@@ -191,9 +190,13 @@ class SimpleMajorityVoting:
                            [r.iterations for r in results])
 
     def _run_scheduled(self, table: DataFrame, question: str):
-        scheduler = BatchScheduler(self.model, self.registry,
-                                   catch=self.handler_catch)
-        return scheduler.run(self.chain_engines(table, question))
+        # Imported here: repro.aio's package import reaches this module
+        # through the serving layer, so a module-level import would cycle.
+        from repro.aio.driver import AsyncChainDriver
+
+        driver = AsyncChainDriver(self.model, self.registry,
+                                  catch=self.handler_catch)
+        return driver.run_sync(self.chain_engines(table, question))
 
     def _tally(self, answers: list[list[str]],
                iterations: list[int]) -> VotingResult:

@@ -13,8 +13,9 @@ re-implement the loop is now a driver over this core:
 * the Codex-CoT baseline — :func:`drive` over :class:`CoTEngine`;
 * the chaos harness — injects at the effect boundary
   (:class:`repro.faults.FaultyEffectHandler`);
-* :class:`BatchScheduler` — runs many engines concurrently, coalescing
-  pending model calls into batched ``complete_batch`` round-trips.
+* :class:`repro.aio.AsyncChainDriver` — runs many engines concurrently,
+  coalescing pending model calls into batched ``complete_batch``
+  round-trips.
 
 See ``docs/architecture.md`` §10 for the effect-flow diagram.
 """
@@ -29,7 +30,6 @@ from repro.engine.cot import CoTEngine
 from repro.engine.driver import EffectHandler, drive, run_chain
 from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
 from repro.engine.result import AgentResult
-from repro.engine.scheduler import BatchScheduler
 
 __all__ = [
     "HARD_ITERATION_CAP",
@@ -46,5 +46,4 @@ __all__ = [
     "EffectHandler",
     "run_chain",
     "drive",
-    "BatchScheduler",
 ]

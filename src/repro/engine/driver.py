@@ -8,7 +8,7 @@ The split of responsibilities after the sans-IO refactor:
   ``CodeExecutor.execute``; ``tools/lint_effects.py`` enforces this);
 * :func:`run_chain` / :func:`drive` — *when* effects are performed (the
   sequencing policy: synchronous here, coalesced in
-  :class:`~repro.engine.scheduler.BatchScheduler`).
+  :class:`repro.aio.AsyncChainDriver`).
 
 ``EffectHandler`` also owns telemetry attribution: every model call —
 whether it comes from the greedy agent, a voting branch or a batched

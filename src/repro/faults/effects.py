@@ -13,11 +13,14 @@ salts (prompt / code), and applies faults via the shared core in
 schedule through either style (pinned by
 ``tests/faults/test_effect_boundary.py``).
 
-Use it by handing any engine driver a faulty handler::
+Use it by handing a sync engine driver a faulty handler::
 
     handler = FaultyEffectHandler(EffectHandler(model, registry), plan)
-    result = run_chain(engine, handler)           # or BatchScheduler(
-                                                  #     handler=handler)
+    result = run_chain(engine, handler)
+
+It injects per call only.  Batched drivers inject through the model
+instead: :class:`~repro.faults.injectors.FaultyModel`'s default
+``complete_batch`` takes one fault draw per logical request.
 """
 
 from __future__ import annotations
@@ -81,37 +84,6 @@ class FaultyEffectHandler:
         return ModelResult(tuple(apply_completion_fault(
             kind, reply.completions, self.plan, site, index,
             salt=effect.prompt)))
-
-    def model_batch(self, requests):
-        """Batched calls take per-request fault draws, like the default
-        ``complete_batch`` (one wrapper ``complete`` per request) would.
-
-        Faults that damage completions apply to the whole logical
-        request's slice; a transient fault fails the entire tick, which
-        the serving ladder classifies exactly like a sequential failure.
-        """
-        decisions = []
-        for request in requests:
-            index = self._next_index("model")
-            kind = self.plan.decide("model", index, salt=request.prompt)
-            decisions.append((index, kind))
-            if kind is not None:
-                self._notify("model", kind, index)
-            if kind == "transient":
-                raise TransientModelError(
-                    f"injected transient backend failure (call {index})")
-            if kind == "latency":
-                self._sleep(self.plan.config.latency_seconds)
-        batches = self.inner.model_batch(requests)
-        damaged = []
-        for request, batch, (index, kind) in zip(requests, batches,
-                                                 decisions):
-            if kind in ("truncate", "garbage", "wrong_n"):
-                batch = apply_completion_fault(
-                    kind, batch, self.plan, "model", index,
-                    salt=request.prompt)
-            damaged.append(batch)
-        return damaged
 
     # --- executor boundary ----------------------------------------------------
 

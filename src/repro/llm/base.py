@@ -33,11 +33,12 @@ class Completion:
 class CompletionRequest:
     """One logical completion request inside a coalesced batch.
 
-    The :class:`repro.engine.scheduler.BatchScheduler` collects the
-    pending model calls of many concurrent chains into a list of these
-    and submits them through :meth:`LanguageModel.complete_batch` —
-    identical prompts are merged into a single request with a summed
-    ``n`` (continuous-batching style).
+    The batched chain driver (:class:`repro.aio.AsyncChainDriver`)
+    collects the pending model calls of many concurrent chains into a
+    list of these and submits them through
+    :meth:`LanguageModel.complete_batch` — identical prompts are merged
+    into a single request with a summed ``n`` (continuous-batching
+    style).
     """
 
     prompt: str

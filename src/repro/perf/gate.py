@@ -31,6 +31,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.aio import AsyncChainDriver, AsyncEffectHandler
 from repro.core.actions import Action, ActionKind
 from repro.core.prompt import (
     PromptBuilder,
@@ -41,7 +42,6 @@ from repro.core.prompt import (
 from repro.datasets.generators import generate_dataset
 from repro.engine.driver import EffectHandler, run_chain
 from repro.engine.effects import Execute, ExecResult
-from repro.engine.scheduler import BatchScheduler
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.llm.base import Completion, CompletionRequest
 from repro.llm.simulated import SimulatedTQAModel
@@ -207,21 +207,27 @@ def _parsed(prompts: list[str]) -> list[tuple]:
 
 
 class _EffectRecorder(EffectHandler):
-    """An effect handler that keeps every Execute effect and batched
-    model request it performs."""
+    """An effect handler that keeps every Execute effect it performs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.effects: list[Execute] = []
-        self.requests: list[CompletionRequest] = []
 
     def execute(self, effect: Execute) -> ExecResult:
         self.effects.append(effect)
         return super().execute(effect)
 
-    def model_batch(self, requests):
+
+class _BatchRecorder(AsyncEffectHandler):
+    """An async effect handler that keeps every batched model request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests: list[CompletionRequest] = []
+
+    async def model_batch(self, requests):
         self.requests.extend(requests)
-        return super().model_batch(requests)
+        return await super().model_batch(requests)
 
 
 def _svote_effects(backend: str) -> list[Execute]:
@@ -294,16 +300,16 @@ def _memo_matches_fresh(backend: str) -> bool:
 def _svote_model_calls() -> tuple[SimulatedTQAModel, list]:
     """The model and model calls of one s-vote attempt.
 
-    The five chains run through :class:`BatchScheduler`, so chains that
-    share a prompt share one call with ``n > 1``: four calls of five
+    The five chains run through :class:`AsyncChainDriver`, so chains
+    that share a prompt share one call with ``n > 1``: four calls of five
     slots, two of them with a second draw.
     """
     bench = generate_dataset("wikitq", size=1, seed=9)
     example = bench.examples[0]
     voter = AgentSpec(bank=bench.bank, voting="s-vote").build(3)
-    recorder = _EffectRecorder(voter.model, voter.registry,
-                               catch=voter.handler_catch)
-    BatchScheduler(handler=recorder).run(
+    recorder = _BatchRecorder(voter.model, voter.registry,
+                              catch=voter.handler_catch)
+    AsyncChainDriver(handler=recorder).run_sync(
         voter.chain_engines(example.table, example.question))
     return voter.model, recorder.requests
 

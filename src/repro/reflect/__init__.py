@@ -11,7 +11,7 @@ split mapped onto this repo's sans-IO engine:
   through the ``EffectHandler`` seam, then re-run the chain engines with
   the reflections block injected via the engine's ``prompt_hook``.
 
-The serving ladders consume this package through
+The serving ladder consumes this package through
 :class:`repro.serving.policy.ReflectionRung`.
 """
 

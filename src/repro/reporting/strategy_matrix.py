@@ -33,8 +33,8 @@ MODEL_SEED = 1
 def run_matrix(*, datasets: tuple[str, ...] = DATASETS, size: int = 60,
                seed: int = DATASET_SEED, model_seed: int = MODEL_SEED,
                profile: str = "codex-sim",
-               strategies: tuple[str, ...] | None = None,
-               use_scheduler: bool = False) -> dict[str, dict[str, float]]:
+               strategies: tuple[str, ...] | None = None
+               ) -> dict[str, dict[str, float]]:
     """Accuracy per ``{dataset: {strategy: accuracy}}`` cell.
 
     Each cell gets a fresh model (same seed), so strategies see identical
@@ -53,8 +53,7 @@ def run_matrix(*, datasets: tuple[str, ...] = DATASETS, size: int = 60,
             cells[name] = evaluate_agent(agent, benchmark).accuracy
         model = SimulatedTQAModel(benchmark.bank, get_profile(profile),
                                   seed=model_seed)
-        ensemble = HeterogeneousEnsemble(model, names,
-                                         use_scheduler=use_scheduler)
+        ensemble = HeterogeneousEnsemble(model, names)
         cells[ENSEMBLE_ROW] = evaluate_agent(ensemble, benchmark).accuracy
         results[dataset] = cells
     return results

@@ -1,13 +1,14 @@
 """Concurrent TQA serving: queue → worker pool → cache → batched eval.
 
 This package turns the single-question agent into a servable system:
-bounded request queueing (:mod:`~repro.serving.request`), a pool of
+bounded request queueing (:mod:`~repro.serving.request`), the request
+ladder both servers run (:mod:`~repro.serving.ladder`), a pool of
 concurrent per-request agents (:mod:`~repro.serving.pool`), a
 content-fingerprinted LRU/TTL answer cache (:mod:`~repro.serving.cache`),
 per-request timeout/retry with graceful degradation and deterministic
 backoff (:mod:`~repro.serving.policy`), an optional reflexion rung
 (:class:`~repro.serving.policy.ReflectionRung` over :mod:`repro.reflect`,
-enabled with ``REPRO_REFLECT=1``), a per-backend circuit breaker
+armed with ``reflect=``), a per-backend circuit breaker
 (:mod:`~repro.serving.breaker`), serving metrics
 (:mod:`~repro.serving.metrics`), and a batched evaluation façade
 (:mod:`~repro.serving.batch`) that reruns any benchmark through the pool.

@@ -47,7 +47,7 @@ class BatchEvaluator:
                  metrics: ServingMetrics | None = None,
                  tracer=None, queue_capacity: int = 256,
                  breakers: BreakerConfig | None = None,
-                 batch_scheduler: bool | None = None,
+                 batch_scheduler: bool = False,
                  reflect=None):
         self.spec = spec
         self.workers = workers
@@ -60,9 +60,7 @@ class BatchEvaluator:
         self.tracer = tracer
         self.queue_capacity = queue_capacity
         self.breakers = breakers
-        # None defers to the pool's REPRO_BATCH_SCHEDULER env switch.
         self.batch_scheduler = batch_scheduler
-        # None defers to the pool's REPRO_REFLECT env switch.
         self.reflect = reflect
         #: Responses of the most recent :meth:`evaluate`, in benchmark
         #: order (serving metadata: latency, cached, attempts, ...).

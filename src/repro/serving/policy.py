@@ -18,7 +18,6 @@ request degrades to a forced direct answer instead of failing.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -198,16 +197,9 @@ class ReflectPolicy:
         return (base_seed + self.reflect_seed_salt
                 + index * self.reflect_seed_stride)
 
-    @classmethod
-    def from_env(cls, env=os.environ) -> "ReflectPolicy | None":
-        """The ``REPRO_REFLECT=1`` switch; ``None`` keeps the tier off."""
-        if env.get("REPRO_REFLECT", "0") == "1":
-            return cls()
-        return None
-
 
 class ReflectionRung:
-    """The reflexion rung shared by both serving ladders.
+    """The reflexion rung of the request ladder (both servers run it).
 
     Sits between the retry ladder and the degradation rung: given
     whatever the attempts left behind (a weak result, or the exception

@@ -3,67 +3,35 @@
 Dataflow of one request::
 
     submit ──► [coalesce onto identical in-flight request?]
-           ──► RequestQueue ──► worker thread
-                                  ├─ AnswerCache lookup ── hit ──► response
-                                  └─ miss: circuit breaker allow?
-                                        │  fresh agent (request seed)
-                                        │  attempt deadline (DeadlineModel)
-                                        │  bounded retries (reseeded,
-                                        │    deterministic backoff)
-                                        │  exhausted → forced direct answer
-                                        │  even that failed → classified
-                                        │    error (taxonomy)
-                                        ▼
-                                     cache store ──► response
+           ──► RequestQueue ──► worker thread ──► request ladder ──► response
+
+The pool is a thin shell over :class:`~repro.serving.ladder.RequestLadder`
+(cache, breaker, retries, reflexion and degraded rungs, classification).
+It keeps only its own substrate: the bounded queue, the worker threads,
+listener-based coalescing, and a pump that performs the ladder's effects
+inline on the worker thread — attempts as blocking runner calls, backoff
+as ``sleep``.
 
 Determinism: each attempt builds a fresh runner from the spec with a seed
 derived only from the request seed and attempt number, so responses do not
-depend on worker count or dispatch order.
+depend on worker count or dispatch order.  No exception escapes a worker.
 
-Every request terminates with a **classified outcome** on the degradation
-ladder (``ok`` → ``retried`` → ``reflected`` → ``degraded`` →
-``deadline_exceeded`` / ``error_transient`` / ``error_permanent``;
-see :data:`repro.serving.request.OUTCOMES`) — no
-exception escapes a worker.  The optional reflexion rung
-(``reflect=ReflectPolicy(...)`` or ``REPRO_REFLECT=1``; see
-:class:`~repro.serving.policy.ReflectionRung`) sits between the retry
-ladder and degradation: it harvests the failure, generates a verbal
-reflection through the effect seam, and re-runs the chains with the
-reflection injected into every prompt.  A per-backend
-:class:`~repro.serving.breaker.CircuitBreaker` (enabled via
-``breakers=BreakerConfig(...)``) fails requests fast while the backend is
-down instead of queueing retries behind it.
-
-Lifecycle events (``enqueue``, ``dispatch``, ``cache_hit``,
-``cache_miss``, ``coalesce``, ``timeout``, ``retry``, ``backoff``,
-``breaker_reject``, ``breaker_transition``, ``degraded``, ``error``,
-``complete``) are emitted to an optional
-:class:`~repro.tracing.ChainTracer`.
+Lifecycle events (``enqueue``, ``dispatch``, ``coalesce``, ``complete``
+here; the ladder's own in :mod:`repro.serving.ladder`) are emitted to an
+optional :class:`~repro.tracing.ChainTracer`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
-from repro.errors import (
-    CircuitOpenError,
-    QueueClosedError,
-    ServingError,
-    ServingTimeoutError,
-    is_retryable,
-)
-from repro.serving.breaker import BreakerConfig, CircuitBreaker
-from repro.serving.cache import AnswerCache, CachedAnswer, request_fingerprint
+from repro.errors import QueueClosedError, ServingError
+from repro.serving.breaker import BreakerConfig
+from repro.serving.cache import AnswerCache, request_fingerprint
+from repro.serving.ladder import Attempt, Backoff, RequestLadder
 from repro.serving.metrics import ServingMetrics
-from repro.serving.policy import (
-    DeadlineModel,
-    ReflectionRung,
-    ReflectPolicy,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.serving.policy import ReflectPolicy, RetryPolicy
 from repro.serving.request import (
     PendingResponse,
     RequestQueue,
@@ -71,22 +39,20 @@ from repro.serving.request import (
     TQAResponse,
 )
 from repro.table.frame import DataFrame
-from repro.telemetry.spans import Telemetry, activate, span
+from repro.telemetry.spans import Telemetry
 
 __all__ = ["WorkerPool"]
 
 
-class WorkerPool:
+class WorkerPool(RequestLadder):
     """Serve TQA requests over ``workers`` concurrent agent threads.
 
-    ``spec`` is an :class:`~repro.serving.spec.AgentSpec` (or any object
-    with ``build(seed)`` / ``build_forced(seed)`` / ``config_key``).
-    Optional collaborators: an :class:`AnswerCache` (enables caching *and*
-    in-flight request coalescing), a :class:`RetryPolicy`, a
-    :class:`ServingMetrics` aggregator, a
-    :class:`~repro.tracing.ChainTracer`, and a
-    :class:`~repro.serving.breaker.BreakerConfig` (``breakers=``) that
-    arms a circuit breaker for the spec's backend.
+    The collaborators (``spec``, ``cache``, ``policy``, ``metrics``,
+    ``tracer``, ``breakers``, ``telemetry``, ``reflect``) are the
+    :class:`~repro.serving.ladder.RequestLadder`'s; an ``AnswerCache``
+    also enables in-flight request coalescing.  ``batch_scheduler=True``
+    drives voted runners' chains through the batched chain driver
+    (coalesced model calls).
 
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`.
     """
@@ -98,44 +64,16 @@ class WorkerPool:
                  tracer=None, queue_capacity: int = 256,
                  breakers: BreakerConfig | None = None,
                  telemetry: Telemetry | None = None,
-                 batch_scheduler: bool | None = None,
+                 batch_scheduler: bool = False,
                  reflect: ReflectPolicy | bool | None = None,
                  sleep=time.sleep):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.spec = spec
+        super().__init__(spec, cache=cache, policy=policy, metrics=metrics,
+                         tracer=tracer, breakers=breakers,
+                         telemetry=telemetry, reflect=reflect)
         self.workers = workers
-        self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.metrics = metrics or ServingMetrics()
-        self.tracer = tracer
-        # Span store for the request/attempt/agent tree.  Defaults to the
-        # tracer's store so flat serving events and hierarchical spans
-        # land in one trace file.
-        if telemetry is None and tracer is not None:
-            telemetry = getattr(tracer, "telemetry", None)
-        self.telemetry = telemetry
-        # Batched-driver flag: voted runners that support the sans-IO
-        # BatchScheduler (``use_scheduler``) coalesce their per-chain
-        # model calls into batched completions.  ``None`` defers to the
-        # ``REPRO_BATCH_SCHEDULER=1`` environment switch.
-        if batch_scheduler is None:
-            batch_scheduler = (
-                os.environ.get("REPRO_BATCH_SCHEDULER", "0") == "1")
         self.batch_scheduler = batch_scheduler
-        # The reflexion rung: ``None`` defers to ``REPRO_REFLECT=1``,
-        # ``True`` arms the default policy, ``False`` forces it off.
-        if reflect is None:
-            reflect = ReflectPolicy.from_env()
-        elif reflect is True:
-            reflect = ReflectPolicy()
-        elif reflect is False:
-            reflect = None
-        self.reflect_policy = reflect
-        self._reflect_rung: ReflectionRung | None = None
-        if reflect is not None:
-            self._reflect_rung = ReflectionRung(
-                spec, self.policy, reflect, metrics=self.metrics)
         self.queue = RequestQueue(queue_capacity)
         self._sleep = sleep
         self._threads: list[threading.Thread] = []
@@ -143,17 +81,6 @@ class WorkerPool:
         self._inflight_lock = threading.Lock()
         self._request_counter = 0
         self._started = False
-        self._breaker: CircuitBreaker | None = None
-        if breakers is not None:
-            backend = getattr(spec, "profile", None) or "default"
-            self._breaker = CircuitBreaker(
-                backend, config=breakers,
-                on_transition=self._on_breaker_transition)
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The spec backend's circuit breaker (``None`` when disabled)."""
-        return self._breaker
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -221,23 +148,16 @@ class WorkerPool:
                     question=request.question)
         try:
             self.queue.put((chain, uid, key, request, slot))
-        except QueueClosedError:
+        except QueueClosedError as exc:
             self._forget_inflight(key)
+            # Duplicates coalesced onto this slot while it waited for
+            # room must not wait forever.
+            slot.set(self._failure_response(uid, exc))
             raise
         self.metrics.record_submit(self.queue.depth)
         return slot
 
     # --- worker internals ---------------------------------------------------
-
-    def _trace(self, chain: int, kind: str, **data) -> None:
-        if self.tracer is not None:
-            self.tracer.emit_for(chain, f"serving_{kind}", 0, **data)
-
-    def _on_breaker_transition(self, backend: str, old_state: str,
-                               new_state: str) -> None:
-        self.metrics.record_breaker_transition(old_state, new_state)
-        self._trace(0, "breaker_transition", backend=backend,
-                    old_state=old_state, new_state=new_state)
 
     def _forget_inflight(self, key: str | None) -> None:
         if key is None:
@@ -256,10 +176,7 @@ class WorkerPool:
             try:
                 response = self._answer(chain, uid, key, request)
             except Exception as exc:  # last-resort: never drop a slot
-                response = TQAResponse(
-                    uid=uid, answer=[],
-                    error=f"{type(exc).__name__}: {exc}",
-                    outcome=self._classify_failure(exc))
+                response = self._failure_response(uid, exc)
             slot.set(response)
             self._forget_inflight(key)
             self.metrics.record_response(response)
@@ -270,159 +187,32 @@ class WorkerPool:
                         outcome=response.outcome,
                         latency=round(response.latency, 6))
 
-    #: Terminal-error classification, shared with the async server so
-    #: both paths classify identically (differential parity contract).
-    _classify_failure = staticmethod(classify_failure)
-
     def _answer(self, chain: int, uid: str, key: str | None,
                 request: TQARequest) -> TQAResponse:
-        # One span per request roots the tree: the attempt ladder, the
-        # agent run inside it, and the SQL/Python stages below all nest
-        # under this span (and their token totals fold into it).
-        with activate(self.telemetry), \
-                span("request", trace_id=chain, uid=uid) as request_span:
-            response = self._answer_inner(chain, uid, key, request)
-            if request_span is not None:
-                request_span.set(outcome=response.outcome,
-                                 cached=response.cached,
-                                 degraded=response.degraded,
-                                 attempts=response.attempts)
-            return response
-
-    def _answer_inner(self, chain: int, uid: str, key: str | None,
-                      request: TQARequest) -> TQAResponse:
-        started = time.perf_counter()
-        if key is not None:
-            cached = self.cache.get(key)
-            hit = cached is not None
-            self.metrics.record_cache(hit)
-            self._trace(chain, "cache_hit" if hit else "cache_miss",
-                        uid=uid)
-            if hit:
-                return cached.to_response(
-                    uid, latency=time.perf_counter() - started)
-        result = None
-        last_error = ""
-        last_exc: Exception | None = None
-        attempts = 0
-        breaker = self._breaker
-        for attempt in range(self.policy.max_attempts):
-            if breaker is not None and not breaker.allow():
-                # Fail fast: no point burning reseeded attempts against
-                # an open circuit — drop to the degradation rung.
-                last_exc = CircuitOpenError(
-                    f"backend {breaker.backend!r} circuit is open")
-                last_error = str(last_exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempt + 1,
-                            backend=breaker.backend)
-                break
-            attempts = attempt + 1
-            seed = self.policy.attempt_seed(request.seed, attempt)
+        """Pump the ladder, performing its effects on this thread."""
+        steps = self._steps(chain, uid, key, request)
+        resume, value = steps.send, None
+        while True:
             try:
-                with span("attempt", index=attempts):
-                    result = self._run_attempt(request, seed)
-                if breaker is not None:
-                    breaker.record_success()
-                break
-            except ServingTimeoutError as exc:
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_timeout()
-                self._trace(chain, "timeout", uid=uid, attempt=attempts)
-            except CircuitOpenError as exc:
-                # A circuit opened *mid-attempt* (e.g. a nested serving
-                # layer): account it as a rejection, not a fresh backend
-                # failure, and stop burning attempts — same treatment as
-                # the pre-attempt allow() refusal above.
-                last_exc = exc
-                last_error = str(exc)
-                self.metrics.record_breaker_rejection()
-                self._trace(chain, "breaker_reject", uid=uid,
-                            attempt=attempts, mid_attempt=True)
-                break
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                self._trace(chain, "error", uid=uid, attempt=attempts,
-                            error=last_error,
-                            retryable=is_retryable(exc))
-            if breaker is not None:
-                breaker.record_failure()
-            if attempt + 1 < self.policy.max_attempts:
-                self.metrics.record_retry()
-                self._trace(chain, "retry", uid=uid,
-                            next_attempt=attempts + 1)
-                delay = self.policy.backoff_delay(request.seed, attempt)
-                if delay > 0:
-                    self.metrics.record_backoff(delay)
-                    self._trace(chain, "backoff", uid=uid,
-                                delay=round(delay, 6))
-                    self._sleep(delay)
-        reflections = 0
-        reflected = False
-        if self._reflect_rung is not None:
-            # The reflexion rung: harvest the failure, reflect verbally,
-            # re-run the chains with the reflection injected.
-            result, reflections, reflected, last_exc, last_error = (
-                self._reflect_rung.attempt(
-                    request, result, last_exc, last_error=last_error,
-                    attempts=attempts, breaker=breaker,
-                    trace=lambda kind, **data: self._trace(
-                        chain, kind, uid=uid, **data)))
-        degraded = False
-        if result is None and self.policy.degrade_on_exhaustion:
-            # The §3.3 fallback rung: one-iteration forced direct answer.
-            degraded = True
-            self._trace(chain, "degraded", uid=uid)
+                effect = resume(value)
+            except StopIteration as stop:
+                return stop.value
             try:
-                with span("degraded_attempt"):
-                    result = self.spec.build_forced(request.seed).run(
-                        request.table, request.question)
-            except Exception as exc:
-                last_exc = exc
-                last_error = f"{type(exc).__name__}: {exc}"
-                result = None
-        if result is None:
-            # The final rung: a terminal error, classified.
-            return TQAResponse(uid=uid, answer=[], degraded=degraded,
-                               attempts=attempts, reflections=reflections,
-                               error=last_error,
-                               latency=time.perf_counter() - started,
-                               outcome=self._classify_failure(last_exc))
-        outcome = ("degraded" if degraded
-                   else "reflected" if reflected
-                   else "retried" if attempts > 1 else "ok")
-        response = TQAResponse(
-            uid=uid, answer=list(result.answer),
-            iterations=getattr(result, "iterations", 0),
-            forced=bool(getattr(result, "forced", False)) or degraded,
-            handling_events=list(
-                getattr(result, "handling_events", ()) or ()),
-            degraded=degraded, attempts=attempts, reflections=reflections,
-            error=last_error,
-            latency=time.perf_counter() - started, outcome=outcome)
-        # Only clean first-class results are reusable; degraded answers
-        # depend on wall-clock luck and must not poison the cache.
-        if key is not None and not degraded:
-            self.cache.put(key, CachedAnswer.from_response(response))
-        return response
+                if isinstance(effect, Attempt):
+                    value = self._run_attempt(effect.request, effect.seed)
+                elif isinstance(effect, Backoff):
+                    value = self._sleep(effect.delay)
+                else:
+                    value = effect.call()
+                resume = steps.send
+            except BaseException as exc:
+                # Back into the ladder, which handles what it can and
+                # re-raises the rest (cancellation too) once its spans
+                # are closed.
+                resume, value = steps.throw, exc
 
     def _run_attempt(self, request: TQARequest, seed: int):
         runner = self.spec.build(seed)
         if self.batch_scheduler and hasattr(runner, "use_scheduler"):
             runner.use_scheduler = True
-        deadline = self.policy.deadline()
-        if deadline is not None:
-            if hasattr(runner, "model"):
-                runner.model = DeadlineModel(runner.model, deadline)
-            else:
-                # A configured timeout that cannot be enforced must not
-                # pass silently: the request would run unbounded.  Count
-                # it (alarmable) and trace it, then run anyway — shedding
-                # the request entirely would be worse than running it.
-                self.metrics.record_deadline_unattached()
-                self._trace(0, "deadline_unattached", uid=request.uid,
-                            runner=type(runner).__name__)
-        return runner.run(request.table, request.question)
+        return self._run_blocking(runner, request, self.policy.deadline())

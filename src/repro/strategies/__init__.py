@@ -2,7 +2,7 @@
 
 A *strategy* names an engine factory, a prompt/few-shot recipe and an
 answer-extraction contract (see :mod:`repro.strategies.base`).  Agents,
-voters and both serving ladders resolve engines exclusively through
+voters and both servers resolve engines exclusively through
 :func:`get_strategy` — ``tools/lint_strategies.py`` pins the seam — so a
 new reasoning approach plugs in by registering a strategy, with voting,
 batching, reflexion and serving inherited for free.

@@ -13,14 +13,13 @@ votes the idiosyncratic failures down.
 
 The class wears the same serving interface as the s-vote runner —
 ``chain_engines`` / ``tally`` / ``model`` / ``registry`` / ``n`` /
-``use_scheduler`` — so both serving ladders, the batched scheduler and
-the reflexion tier drive it with zero changes.
+``use_scheduler`` — so both servers, the batched chain driver and the
+reflexion tier drive it with zero changes.
 """
 
 from __future__ import annotations
 
 from repro.engine.driver import EffectHandler, drive
-from repro.engine.scheduler import BatchScheduler
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.llm.base import LanguageModel
 from repro.strategies.base import EngineRequest
@@ -49,7 +48,7 @@ class HeterogeneousEnsemble:
         self.temperature = temperature
         self.max_iterations = max_iterations
         self.use_scheduler = use_scheduler
-        #: Branch count — the serving ladders read this like a voter's n.
+        #: Branch count — the servers read this like a voter's n.
         self.n = len(self.strategies)
         #: The envelope external drivers should use: heterogeneous
         #: branches vote, so no branch failure may sink its siblings.
@@ -58,8 +57,8 @@ class HeterogeneousEnsemble:
     def chain_engines(self, table: DataFrame, question: str) -> list:
         """One engine per member strategy, in spec order.
 
-        The external-driver seam (batched scheduler, async continuous
-        batcher): drive these however you like, then :meth:`tally` the
+        The external-driver seam (the batched chain driver): drive these
+        however you like, then :meth:`tally` the
         results — positional alignment with ``strategies`` carries each
         branch's extraction contract.
         """
@@ -113,9 +112,12 @@ class HeterogeneousEnsemble:
             if self.use_scheduler:
                 # One batched pass over all branches; a branch failure
                 # must not sink its siblings, hence the blanket envelope.
-                scheduler = BatchScheduler(self.model, self.registry,
-                                           catch=(Exception,))
-                results = scheduler.run(engines)
+                # Imported here for the same cycle as in core.voting.
+                from repro.aio.driver import AsyncChainDriver
+
+                driver = AsyncChainDriver(self.model, self.registry,
+                                          catch=self.handler_catch)
+                results = driver.run_sync(engines)
             else:
                 results = []
                 for strategy, engine in zip(self.strategies, engines):

@@ -1,7 +1,7 @@
 """The process-wide strategy registry and the ensemble-spec grammar.
 
 All engine resolution funnels through :func:`get_strategy` — the agent,
-the voters, both serving ladders and the CLI name strategies instead of
+the voters, both servers and the CLI name strategies instead of
 engine classes (``tools/lint_strategies.py`` enforces this the way
 ``lint_effects.py`` pins the I/O seam).
 

@@ -68,7 +68,7 @@ EVENT_KINDS = frozenset({
     "serving_admit",
     "serving_rejected",
     "serving_deadline_unattached",
-    # Reflexion rung (repro.serving.policy.ReflectionRung, both ladders).
+    # Reflexion rung (repro.serving.policy.ReflectionRung).
     "serving_reflect",
 })
 

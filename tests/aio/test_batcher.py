@@ -1,10 +1,10 @@
 """Tests for the ContinuousBatcher: dynamic ticks, coalescing, accounting.
 
-The batcher must keep the BatchScheduler's coalescing semantics (merge
-identical pending prompts, slice results back in collection order,
-starve tails into the forcing ladder) while allowing what lock-step
-cannot: chains joining mid-flight, ticks overlapping with round-trips in
-flight, and chains retiring without anyone waiting for them.
+The batcher must keep lock-step coalescing semantics (merge identical
+pending prompts, slice results back in collection order, starve tails
+into the forcing ladder) while allowing what lock-step cannot: chains
+joining mid-flight, ticks overlapping with round-trips in flight, and
+chains retiring without anyone waiting for them.
 """
 
 import asyncio

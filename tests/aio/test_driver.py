@@ -1,10 +1,10 @@
-"""Tests for drive_chain / AsyncChainDriver: scheduler-grade determinism.
+"""Tests for drive_chain / AsyncChainDriver: lock-step determinism.
 
 The async driver's contract is stronger than "same answers": with a
-static engine population it must reproduce the lock-step
-BatchScheduler's *ticks* — the same ``complete_batch`` call sequence
-reaching the model — which makes even sampled (temperature > 0) chains
-bit-identical across the two drivers.
+static engine population it must reproduce the lock-step reference's
+*ticks* (``tests/engine/lockstep.py``) — the same ``complete_batch``
+call sequence reaching the model — which makes even sampled
+(temperature > 0) chains bit-identical across the two drivers.
 """
 
 import asyncio
@@ -14,9 +14,9 @@ import pytest
 from repro.aio import AsyncChainDriver
 from repro.core.agent import ReActTableAgent
 from repro.core.voting import SimpleMajorityVoting
-from repro.engine import BatchScheduler
 from repro.executors.registry import default_registry
 from repro.llm import SimulatedTQAModel, get_profile
+from tests.engine.lockstep import LockStepDriver
 
 
 def fresh_model(bench, seed):
@@ -55,8 +55,8 @@ class TestSchedulerEquivalence:
 
         model_a = fresh_model(wikitq_small, 5)
         voter_a = SimpleMajorityVoting(model_a, registry=registry, n=5)
-        scheduler = BatchScheduler(model_a, registry)
-        expected = scheduler.run(
+        lockstep = LockStepDriver(model_a, registry)
+        expected = lockstep.run(
             voter_a.chain_engines(example.table, example.question))
 
         model_b = fresh_model(wikitq_small, 5)
@@ -68,8 +68,8 @@ class TestSchedulerEquivalence:
         assert [r.answer for r in expected] == [r.answer for r in results]
         assert [r.iterations for r in expected] == [
             r.iterations for r in results]
-        assert scheduler.ticks == driver.ticks
-        assert scheduler.requests == driver.requests
+        assert lockstep.ticks == driver.ticks
+        assert lockstep.requests == driver.requests
 
     def test_many_questions_tick_parity(self, wikitq_small):
         examples = wikitq_small.examples[:10]
@@ -77,8 +77,8 @@ class TestSchedulerEquivalence:
 
         model_a = fresh_model(wikitq_small, 3)
         agent_a = ReActTableAgent(model_a)
-        scheduler = BatchScheduler(model_a, registry)
-        expected = scheduler.run([
+        lockstep = LockStepDriver(model_a, registry)
+        expected = lockstep.run([
             agent_a.engine_for(ex.table, ex.question) for ex in examples])
 
         model_b = fresh_model(wikitq_small, 3)
@@ -88,8 +88,8 @@ class TestSchedulerEquivalence:
             agent_b.engine_for(ex.table, ex.question) for ex in examples])
 
         assert [r.answer for r in expected] == [r.answer for r in results]
-        assert scheduler.ticks == driver.ticks
-        assert scheduler.requests == driver.requests
+        assert lockstep.ticks == driver.ticks
+        assert lockstep.requests == driver.requests
 
 
 class TestDriverSurface:

@@ -8,10 +8,11 @@ deadline seam binding to chain runners without a wrappable ``model``.
 """
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.aio import AsyncServer
+from repro.aio import AsyncLanguageModel, AsyncServer
 from repro.errors import AdmissionRejectedError, ServingError, is_retryable
 from repro.serving import (
     AgentSpec,
@@ -20,6 +21,7 @@ from repro.serving import (
     ServingMetrics,
     TQARequest,
 )
+from repro.telemetry import Telemetry
 
 
 def requests_for(bench, count, *, seed=1, tenant="default"):
@@ -30,6 +32,56 @@ def requests_for(bench, count, *, seed=1, tenant="default"):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+class GatedSpec:
+    """A spec whose runners block in a worker thread until released."""
+
+    def __init__(self, inner, release: threading.Event):
+        self.inner = inner
+        self.release = release
+        self.config_key = inner.config_key
+
+    def build(self, seed):
+        inner_runner = self.inner.build(seed)
+        release = self.release
+
+        class Blocked:
+            def run(self, table, question):
+                # Runs inside asyncio.to_thread (no engine_for).
+                release.wait()
+                return inner_runner.run(table, question)
+
+        return Blocked()
+
+    def build_forced(self, seed):
+        return self.inner.build_forced(seed)
+
+
+class HangingModel(AsyncLanguageModel):
+    """A model call that awaits forever."""
+
+    async def complete(self, prompt, *, temperature=0.0, n=1):
+        await asyncio.get_running_loop().create_future()
+
+
+class FirstHangsSpec:
+    """A spec whose first runner's model call never returns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.config_key = inner.config_key
+        self.builds = 0
+
+    def build(self, seed):
+        runner = self.inner.build(seed)
+        self.builds += 1
+        if self.builds == 1:
+            runner.model = HangingModel()
+        return runner
+
+    def build_forced(self, seed):
+        return self.inner.build_forced(seed)
 
 
 class TestBasicServing:
@@ -145,33 +197,8 @@ class TestAdmissionControl:
         """Closing with requests parked in the fair queue wakes them
         with an error instead of leaving them suspended forever."""
         spec = AgentSpec(bank=wikitq_small.bank)
-
-        class Gate:
-            """A spec whose runners block until released."""
-
-            def __init__(self, inner, event):
-                self.inner = inner
-                self.event = event
-                self.config_key = inner.config_key
-
-            def build(self, seed):
-                inner_runner = self.inner.build(seed)
-                event = self.event
-
-                class Blocked:
-                    def run(self, table, question):
-                        # Runs inside asyncio.to_thread (no engine_for).
-                        event.wait()
-                        return inner_runner.run(table, question)
-
-                return Blocked()
-
-            def build_forced(self, seed):
-                return self.inner.build_forced(seed)
-
-        import threading
         release = threading.Event()
-        gated = Gate(spec, release)
+        gated = GatedSpec(spec, release)
 
         async def scenario():
             server = AsyncServer(gated, max_inflight=1, max_queued=8,
@@ -276,6 +303,50 @@ class TestCachingAndCoalescing:
         # Only the primary's response is recorded as completed.
         assert metrics.completed == 1
 
+    def test_duplicates_outlive_a_cancelled_primary(self, wikitq_small):
+        """Cancelling the primary's caller does not cancel the callers
+        coalesced onto it: the first duplicate becomes the primary."""
+        release = threading.Event()
+        spec = GatedSpec(AgentSpec(bank=wikitq_small.bank), release)
+        request = requests_for(wikitq_small, 1)[0]
+
+        async def scenario():
+            async with AsyncServer(spec, cache=AnswerCache(16)) as server:
+                primary = asyncio.create_task(server.answer(request))
+                await asyncio.sleep(0.01)   # the primary is running
+                duplicates = [asyncio.create_task(server.answer(request))
+                              for _ in range(2)]
+                await asyncio.sleep(0.01)   # both coalesced onto it
+                primary.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await primary
+                await asyncio.sleep(0.01)
+                release.set()
+                return await asyncio.gather(*duplicates)
+
+        first, second = run(scenario())
+        assert first.outcome == "ok" and not first.coalesced
+        assert second.coalesced and second.answer == first.answer
+
+    def test_a_cancelled_duplicate_still_raises(self, wikitq_small):
+        release = threading.Event()
+        spec = GatedSpec(AgentSpec(bank=wikitq_small.bank), release)
+        request = requests_for(wikitq_small, 1)[0]
+
+        async def scenario():
+            async with AsyncServer(spec, cache=AnswerCache(16)) as server:
+                primary = asyncio.create_task(server.answer(request))
+                await asyncio.sleep(0.01)
+                duplicate = asyncio.create_task(server.answer(request))
+                await asyncio.sleep(0.01)
+                duplicate.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await duplicate
+                release.set()
+                return await primary
+
+        assert run(scenario()).outcome == "ok"
+
 
 class TestDeadlinesAndFailures:
     def test_expired_deadline_degrades(self, wikitq_small):
@@ -335,6 +406,38 @@ class TestDeadlinesAndFailures:
         assert response.outcome == "degraded"
         assert metrics.timeouts == 1
         assert metrics.deadline_unattached == 0
+
+    def test_cancelled_request_closes_its_spans(self, wikitq_small):
+        """Cancel a request while its model call awaits: its caller sees
+        the cancellation, its spans close with an error status in its
+        own context, and its slot goes to the parked request."""
+        spec = FirstHangsSpec(AgentSpec(bank=wikitq_small.bank))
+        telemetry = Telemetry()
+        first, second = requests_for(wikitq_small, 2)
+
+        async def scenario():
+            async with AsyncServer(spec, max_inflight=1,
+                                   telemetry=telemetry) as server:
+                hanging = asyncio.create_task(server.answer(first))
+                await asyncio.sleep(0.01)   # its model call awaits
+                parked = asyncio.create_task(server.answer(second))
+                await asyncio.sleep(0.01)
+                assert server.active == 1 and len(server.queue) == 1
+                hanging.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await hanging
+                response = await parked
+                return response, server.active
+
+        response, active = run(scenario())
+        assert response.outcome == "ok"
+        assert active == 0
+        (root,) = [s for s in telemetry.spans if s.kind == "request"
+                   and s.attributes["uid"] == first.uid]
+        (attempt,) = [s for s in telemetry.spans if s.kind == "attempt"
+                      and s.trace_id == root.trace_id]
+        assert root.status == "error" and attempt.status == "error"
+        assert attempt.parent_id == root.span_id
 
     def test_tvote_runner_reports_unattached_deadline(self, wikitq_small):
         """Tree voting runs as a blocking thread-side runner; its model

@@ -1,17 +1,15 @@
-"""Tests for the continuous-batching BatchScheduler driver.
+"""Tests for the batched chain driver, ``AsyncChainDriver.run_sync``.
 
 Covers the coalescing mechanics (identical pending prompts merge into
 one request), the greedy-equivalence contract (temperature-0 chains are
 bit-identical to the sequential driver), the s-vote ``use_scheduler``
 path, the mis-sized-batch absorption contract, and the serving-pool
-``REPRO_BATCH_SCHEDULER`` wiring.
+``batch_scheduler`` wiring.
 """
 
-import pytest
-
+from repro.aio import AsyncChainDriver
 from repro.core.agent import ReActTableAgent
 from repro.core.voting import SimpleMajorityVoting
-from repro.engine import BatchScheduler
 from repro.executors.registry import default_registry
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
@@ -49,12 +47,12 @@ def engines_for(model, table, question, count, **agent_kwargs):
 class TestCoalescing:
     def test_identical_prompts_merge_into_one_request(self, cyclists):
         model = TrackingModel(ScriptedModel([ANSWER] * 3))
-        scheduler = BatchScheduler(model, default_registry())
-        results = scheduler.run(
+        driver = AsyncChainDriver(model, default_registry())
+        results = driver.run_sync(
             engines_for(model, cyclists, "who ranked first?", 3))
         assert [r.answer for r in results] == [["42"]] * 3
         # Three chains, one tick, ONE coalesced request of n=3.
-        assert scheduler.ticks == 1 and scheduler.requests == 1
+        assert driver.ticks == 1 and driver.requests == 1
         assert len(model.batches) == 1
         (request,) = model.batches[0]
         assert request.n == 3
@@ -62,22 +60,22 @@ class TestCoalescing:
 
     def test_distinct_prompts_stay_separate(self, cyclists):
         model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
-        scheduler = BatchScheduler(model, default_registry())
+        driver = AsyncChainDriver(model, default_registry())
         agent = ReActTableAgent(model)
         engines = [agent.engine_for(cyclists, "who ranked first?"),
                    agent.engine_for(cyclists, "which team won?")]
-        scheduler.run(engines)
-        assert scheduler.ticks == 1 and scheduler.requests == 2
+        driver.run_sync(engines)
+        assert driver.ticks == 1 and driver.requests == 2
         assert [req.n for req in model.batches[0]] == [1, 1]
 
     def test_chains_desync_and_recoalesce(self, cyclists):
         # One chain takes a code step, the other answers immediately;
         # the survivor keeps running alone on later ticks.
         model = TrackingModel(ScriptedModel([SQL, ANSWER, ANSWER]))
-        scheduler = BatchScheduler(model, default_registry())
-        results = scheduler.run(
+        driver = AsyncChainDriver(model, default_registry())
+        results = driver.run_sync(
             engines_for(model, cyclists, "who ranked first?", 2))
-        assert scheduler.ticks == 2
+        assert driver.ticks == 2
         # Tick 1: one coalesced request (n=2). Tick 2: the SQL chain only.
         assert [len(batch) for batch in model.batches] == [1, 1]
         assert model.batches[0][0].n == 2
@@ -85,19 +83,10 @@ class TestCoalescing:
         assert [r.answer for r in results] == [["42"], ["42"]]
         assert results[0].iterations == 2 and results[1].iterations == 1
 
-    def test_empty_engine_list(self):
-        scheduler = BatchScheduler(ScriptedModel([]), default_registry())
-        assert scheduler.run([]) == []
-        assert scheduler.ticks == 0
-
-    def test_requires_model_or_handler(self):
-        with pytest.raises(ValueError):
-            BatchScheduler()
-
 
 class TestGreedyEquivalence:
     def test_greedy_chains_bit_identical_to_sequential(self, wikitq_small):
-        """Temperature-0 chains are draw-free: the scheduler must produce
+        """Temperature-0 chains are draw-free: the driver must produce
         exactly the sequential driver's results, question by question."""
         examples = wikitq_small.examples[:20]
         sequential_model = SimulatedTQAModel(
@@ -111,8 +100,8 @@ class TestGreedyEquivalence:
         agent = ReActTableAgent(batched_model)
         engines = [agent.engine_for(ex.table, ex.question)
                    for ex in examples]
-        results = BatchScheduler(batched_model,
-                                 default_registry()).run(engines)
+        results = AsyncChainDriver(batched_model,
+                                   default_registry()).run_sync(engines)
 
         for old, new in zip(expected, results):
             assert new.answer == old.answer
@@ -169,8 +158,8 @@ class TestMisSizedBatch:
                 return [Completion(ANSWER)] * n
 
         model = StarvingModel()
-        scheduler = BatchScheduler(model, default_registry())
-        results = scheduler.run(
+        driver = AsyncChainDriver(model, default_registry())
+        results = driver.run_sync(
             engines_for(model, cyclists, "who ranked first?", 2))
         # The first chain got its completion; the starved tail chain fell
         # onto the forcing ladder and recovered on the next tick.
@@ -195,17 +184,6 @@ class TestServingWiring:
                                    example.question).result(timeout=30)
         assert response.answer is not None
         assert pool.batch_scheduler is True
-
-    def test_env_switch_controls_default(self, wikitq_small, monkeypatch):
-        spec = AgentSpec(bank=wikitq_small.bank)
-        monkeypatch.setenv("REPRO_BATCH_SCHEDULER", "1")
-        assert WorkerPool(spec, workers=1).batch_scheduler is True
-        monkeypatch.setenv("REPRO_BATCH_SCHEDULER", "0")
-        assert WorkerPool(spec, workers=1).batch_scheduler is False
-        monkeypatch.delenv("REPRO_BATCH_SCHEDULER")
-        assert WorkerPool(spec, workers=1).batch_scheduler is False
-        assert WorkerPool(spec, workers=1,
-                          batch_scheduler=True).batch_scheduler is True
 
     def test_pool_scheduler_results_match_unscheduled(self, wikitq_small):
         examples = wikitq_small.examples[:4]

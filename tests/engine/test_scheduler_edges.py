@@ -1,21 +1,23 @@
-"""BatchScheduler edge cases: admission, coalescing keys, retirement, chaos.
+"""Batched-driver edge cases: coalescing keys, retirement, chaos.
 
-Companions to ``test_scheduler.py``'s happy-path equivalence suite; these
-pin the tick-boundary contracts the async batcher generalises — mid-run
-admission joins the *next* tick, a tick whose members all share one
-``(prompt, temperature)`` key is a single logical request, finished
-chains leave the tick population immediately, and a
-:class:`FaultyEffectHandler` injects through the batched seam exactly as
-scheduled.
+Companions to ``test_scheduler.py``'s happy-path equivalence suite for
+``AsyncChainDriver.run_sync``; these pin its tick-boundary contracts — a
+tick whose members all share one ``(prompt, temperature)`` key is a
+single logical request, finished chains leave the tick population
+immediately, and a :class:`FaultyModel` (one fault draw per logical
+request) and faulty executors inject through the batched seam exactly
+as scheduled.  Late joins are covered by
+``tests/aio/test_batcher.py``.
 """
 
 import pytest
 
+from repro.aio import AsyncChainDriver
 from repro.core.agent import ReActTableAgent
-from repro.engine import BatchScheduler, EffectHandler, run_chain
+from repro.engine import EffectHandler, run_chain
 from repro.errors import TransientModelError
-from repro.executors.registry import default_registry
-from repro.faults import FaultConfig, FaultPlan, FaultyEffectHandler
+from repro.executors.registry import ExecutorRegistry, default_registry
+from repro.faults import FaultConfig, FaultPlan, FaultyExecutor, FaultyModel
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import LanguageModel, ScriptedModel
 
@@ -24,24 +26,20 @@ SQL = "ReAcTable: SQL: ```SELECT * FROM T0;```."
 
 
 class TrackingModel(LanguageModel):
-    """Records batched round-trips; optional hook fires mid-flight."""
+    """Records batched round-trips."""
 
     name = "tracking"
     supports_logprobs = False
 
-    def __init__(self, inner, on_batch=None):
+    def __init__(self, inner):
         self.inner = inner
         self.batches = []
-        self.on_batch = on_batch
 
     def complete(self, prompt, *, temperature=0.0, n=1):
         return self.inner.complete(prompt, temperature=temperature, n=n)
 
     def complete_batch(self, requests):
         self.batches.append(list(requests))
-        if self.on_batch is not None:
-            hook, self.on_batch = self.on_batch, None
-            hook()
         return super().complete_batch(requests)
 
 
@@ -50,50 +48,17 @@ def engines_for(model, table, question, count):
     return [agent.engine_for(table, question) for _ in range(count)]
 
 
-class TestMidRunAdmission:
-    def test_admission_during_a_round_trip_joins_the_next_tick(
-            self, cyclists):
-        """An engine admitted while ``complete_batch`` is on the wire
-        must not retroactively join that round-trip."""
-        model = TrackingModel(ScriptedModel([SQL, ANSWER, ANSWER]))
-        agent = ReActTableAgent(model)
-        scheduler = BatchScheduler(model, default_registry())
-        late = agent.engine_for(cyclists, "who ranked first?")
-        model.on_batch = lambda: scheduler.admit(late)
-
-        early = agent.engine_for(cyclists, "who ranked first?")
-        results = scheduler.run([early])
-
-        assert [r.answer for r in results] == [["42"], ["42"]]
-        # Tick 1 went out with the early chain alone; the late chain
-        # first appears in tick 2 (alongside the early chain's second
-        # iteration, under a different prompt key).
-        assert len(model.batches[0]) == 1
-        assert scheduler.ticks == 2
-        assert scheduler.requests == 3
-
-    def test_admitted_outside_a_run_joins_the_next_run(self, cyclists):
-        model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
-        agent = ReActTableAgent(model)
-        scheduler = BatchScheduler(model, default_registry())
-        scheduler.admit(agent.engine_for(cyclists, "who ranked first?"))
-        results = scheduler.run(
-            [agent.engine_for(cyclists, "who ranked first?")])
-        assert len(results) == 2
-        assert [r.answer for r in results] == [["42"], ["42"]]
-
-
 class TestSingleKeyTicks:
     def test_all_members_on_one_key_is_one_logical_request(self,
                                                            cyclists):
         """Five identical chains: the tick carries exactly one
         CompletionRequest with the summed n, never five."""
         model = TrackingModel(ScriptedModel([ANSWER] * 5))
-        scheduler = BatchScheduler(model, default_registry())
-        results = scheduler.run(
+        driver = AsyncChainDriver(model, default_registry())
+        results = driver.run_sync(
             engines_for(model, cyclists, "who ranked first?", 5))
         assert [r.answer for r in results] == [["42"]] * 5
-        assert scheduler.ticks == 1 and scheduler.requests == 1
+        assert driver.ticks == 1 and driver.requests == 1
         (request,) = model.batches[0]
         assert request.n == 5
 
@@ -102,12 +67,12 @@ class TestSingleKeyTicks:
         model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
         hot = ReActTableAgent(model, temperature=0.6)
         cold = ReActTableAgent(model)
-        scheduler = BatchScheduler(model, default_registry())
-        results = scheduler.run([
+        driver = AsyncChainDriver(model, default_registry())
+        results = driver.run_sync([
             cold.engine_for(cyclists, "who ranked first?"),
             hot.engine_for(cyclists, "who ranked first?")])
         assert [r.answer for r in results] == [["42"], ["42"]]
-        assert scheduler.ticks == 1 and scheduler.requests == 2
+        assert driver.ticks == 1 and driver.requests == 2
         assert len(model.batches[0]) == 2
 
 
@@ -116,8 +81,8 @@ class TestRetirement:
         """One chain answers on tick 1 and retires; tick 2 goes out with
         only the survivor — the retiree's slot is not re-polled."""
         model = TrackingModel(ScriptedModel([SQL, ANSWER, ANSWER]))
-        scheduler = BatchScheduler(model, default_registry())
-        results = scheduler.run(
+        driver = AsyncChainDriver(model, default_registry())
+        results = driver.run_sync(
             engines_for(model, cyclists, "who ranked first?", 2))
         assert [r.answer for r in results] == [["42"], ["42"]]
         assert results[0].iterations == 2 and results[1].iterations == 1
@@ -128,17 +93,17 @@ class TestRetirement:
                                                            cyclists):
         model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
         done, fresh = engines_for(model, cyclists, "who ranked first?", 2)
-        # Drive the first engine to completion outside the scheduler.
+        # Drive the first engine to completion outside the driver.
         run_chain(done, EffectHandler(model, default_registry()))
         assert done.state == "done"
-        results = BatchScheduler(
-            model, default_registry()).run([done, fresh])
+        results = AsyncChainDriver(
+            model, default_registry()).run_sync([done, fresh])
         assert len(results) == 2
         assert [r.answer for r in results] == [["42"], ["42"]]
 
 
 class TestFaultyHandlerThroughTheScheduler:
-    """Chaos through the batched seam (``BatchScheduler(handler=...)``)."""
+    """Chaos through the batched seam: faulty model and executors."""
 
     CHAOS = FaultConfig(
         model_transient=0.0, model_latency=0.0, model_truncate=0.1,
@@ -148,18 +113,17 @@ class TestFaultyHandlerThroughTheScheduler:
     def test_transient_fault_fails_the_whole_tick(self, wikitq_small):
         plan = FaultPlan(FaultConfig(model_transient=1.0), seed=1)
         faults = []
-        model = SimulatedTQAModel(wikitq_small.bank,
-                                  get_profile("codex-sim"), seed=1)
-        handler = FaultyEffectHandler(
-            EffectHandler(model, default_registry()), plan,
-            on_fault=lambda *a: faults.append(a))
-        scheduler = BatchScheduler(handler=handler)
+        model = FaultyModel(
+            SimulatedTQAModel(wikitq_small.bank,
+                              get_profile("codex-sim"), seed=1),
+            plan, on_fault=lambda *a: faults.append(a))
+        driver = AsyncChainDriver(model, default_registry())
         agent = ReActTableAgent(model)
         example = wikitq_small.examples[0]
         engines = [agent.engine_for(example.table, example.question)
                    for _ in range(3)]
         with pytest.raises(TransientModelError):
-            scheduler.run(engines)
+            driver.run_sync(engines)
         assert faults and faults[0][1] == "transient"
 
     def test_chaos_plan_is_deterministic_through_the_batch_seam(
@@ -170,19 +134,24 @@ class TestFaultyHandlerThroughTheScheduler:
         def run_once(seed):
             plan = FaultPlan(self.CHAOS, seed=seed)
             faults = []
-            model = SimulatedTQAModel(wikitq_small.bank,
-                                      get_profile("codex-sim"), seed=3)
-            handler = FaultyEffectHandler(
-                EffectHandler(model, default_registry()), plan,
-                sleep=lambda _s: None,
-                on_fault=lambda *a: faults.append(a))
-            scheduler = BatchScheduler(handler=handler)
-            agent = ReActTableAgent(model)
+
+            def record(*fault):
+                faults.append(fault)
+
+            model = FaultyModel(
+                SimulatedTQAModel(wikitq_small.bank,
+                                  get_profile("codex-sim"), seed=3),
+                plan, sleep=lambda _s: None, on_fault=record)
+            registry = ExecutorRegistry(
+                FaultyExecutor(executor, plan, on_fault=record)
+                for executor in default_registry())
+            driver = AsyncChainDriver(model, registry)
+            agent = ReActTableAgent(model, registry=registry)
             engines = []
             for example in wikitq_small.examples[:6]:
                 engines.append(
                     agent.engine_for(example.table, example.question))
-            results = scheduler.run(engines)
+            results = driver.run_sync(engines)
             return ([(r.answer, r.iterations, r.forced,
                       tuple(r.handling_events)) for r in results],
                     faults)

@@ -11,7 +11,8 @@ batched drivers.
 import pytest
 
 from repro.core.agent import ReActTableAgent
-from repro.engine import BatchScheduler, EffectHandler, run_chain
+from repro.aio import AsyncChainDriver
+from repro.engine import EffectHandler, run_chain
 from repro.errors import TransientModelError
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.faults import (
@@ -116,20 +117,24 @@ class TestScheduleDifferential:
 
 
 class TestBatchedFaults:
+    """The batched driver injects through the model: ``FaultyModel``'s
+    default ``complete_batch`` takes one fault draw per logical
+    request."""
+
     def test_wrong_n_starves_batched_chains(self, wikitq_small):
-        """Under the scheduler, a wrong-sized batch starves its logical
-        request; the affected chains absorb it via the forcing ladder."""
-        model = fresh_model(wikitq_small)
-        registry = default_registry()
-        handler = FaultyEffectHandler(
-            EffectHandler(model, registry),
+        """Under the batched driver, a wrong-sized batch starves its
+        logical request; the affected chains absorb it via the forcing
+        ladder."""
+        model = FaultyModel(
+            fresh_model(wikitq_small),
             FaultPlan(FaultConfig(model_wrong_n=1.0), seed=4),
             sleep=noop_sleep)
+        registry = default_registry()
         agent = ReActTableAgent(model, registry=registry)
         example = wikitq_small.examples[0]
         engines = [agent.engine_for(example.table, example.question)
                    for _ in range(2)]
-        results = BatchScheduler(handler=handler).run(engines)
+        results = AsyncChainDriver(model, registry).run_sync(engines)
         # Every tick loses one completion: each n=1 request comes back
         # empty, so both chains force and then give up empty-handed.
         for result in results:
@@ -138,14 +143,13 @@ class TestBatchedFaults:
                     in result.handling_events)
 
     def test_transient_fails_the_whole_tick(self, wikitq_small):
-        model = fresh_model(wikitq_small)
-        registry = default_registry()
-        handler = FaultyEffectHandler(
-            EffectHandler(model, registry),
+        model = FaultyModel(
+            fresh_model(wikitq_small),
             FaultPlan(FaultConfig(model_transient=1.0), seed=4),
             sleep=noop_sleep)
+        registry = default_registry()
         agent = ReActTableAgent(model, registry=registry)
         example = wikitq_small.examples[0]
         engines = [agent.engine_for(example.table, example.question)]
         with pytest.raises(TransientModelError):
-            BatchScheduler(handler=handler).run(engines)
+            AsyncChainDriver(model, registry).run_sync(engines)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import ReActTableAgent
 from repro.datasets.spec import QuestionBank
-from repro.errors import ServingError, TransientModelError
+from repro.errors import QueueClosedError, ServingError, TransientModelError
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
 from repro.retry import ExponentialBackoff
@@ -161,6 +161,46 @@ class TestPoolCaching:
         assert metrics.coalesced == 1
         # The duplicate never ran a chain of its own.
         assert len(spec.built_seeds) == 1
+
+    def test_duplicate_of_a_primary_refused_at_shutdown_resolves(
+            self, tiny_frame):
+        """A primary still waiting for queue room is refused when the
+        queue closes; a duplicate coalesced onto it gets that refusal
+        instead of waiting forever."""
+        entered = threading.Event()
+        release = threading.Event()
+        spec = StubSpec(lambda: BlockingModel(entered, release))
+        pool = WorkerPool(spec, workers=1, queue_capacity=1,
+                          cache=AnswerCache(16)).start()
+        refused = []
+
+        def submit_into_full_queue():
+            try:
+                pool.submit(tiny_frame, "third?")
+            except QueueClosedError as exc:
+                refused.append(exc)
+
+        try:
+            pool.submit(tiny_frame, "first?")
+            assert entered.wait(10)        # the worker is busy
+            pool.submit(tiny_frame, "second?")     # the queue is full
+            blocked = threading.Thread(target=submit_into_full_queue)
+            blocked.start()
+            deadline = time.monotonic() + 10
+            while len(pool._inflight) < 3:         # "third?" registered
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            duplicate = pool.submit(tiny_frame, "third?")
+            pool.queue.close()
+            blocked.join(10)
+            response = duplicate.result(timeout=3)
+        finally:
+            release.set()
+            pool.shutdown(wait=True)
+        assert len(refused) == 1
+        assert response.coalesced
+        assert response.outcome == "error_permanent"
+        assert response.error == "QueueClosedError: queue is closed"
 
 
 class TestPoolPolicy:

@@ -231,13 +231,17 @@ class TestLadderEdges:
 class TestDisabledBitIdentity:
     def test_default_is_off_and_env_arms_it(self, wikitq_small,
                                             monkeypatch):
+        """Only the constructor arms the rung: the retired
+        ``REPRO_REFLECT`` variable no longer does."""
         spec = AgentSpec(bank=wikitq_small.bank)
-        monkeypatch.delenv("REPRO_REFLECT", raising=False)
-        assert WorkerPool(spec).reflect_policy is None
         monkeypatch.setenv("REPRO_REFLECT", "1")
-        assert WorkerPool(spec).reflect_policy == ReflectPolicy()
-        # An explicit ``False`` wins over the environment.
+        assert WorkerPool(spec).reflect_policy is None
+        assert AsyncServer(spec).reflect_policy is None
         assert WorkerPool(spec, reflect=False).reflect_policy is None
+        assert WorkerPool(spec, reflect=True).reflect_policy == (
+            ReflectPolicy())
+        policy = ReflectPolicy(max_reflections=2)
+        assert AsyncServer(spec, reflect=policy).reflect_policy is policy
 
     def test_inert_rung_is_bit_identical_to_absent_rung(self,
                                                         wikitq_small):

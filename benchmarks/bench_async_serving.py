@@ -233,7 +233,7 @@ def test_async_serving(benchmark):
         "=" * 72,
         f"chain driving: {QUESTIONS} greedy wikitq chains",
         f"{'sequential driver':<34} {measured['sequential_seconds']:>8.2f} s",
-        f"{'AsyncChainDriver (continuous)':<34} {measured['async_seconds']:>8.2f}"
+        f"{'AsyncChainDriver (lock-step)':<34} {measured['async_seconds']:>8.2f}"
         f" s  ({measured['async_speedup']:.1f}x)",
         "",
         f"serving: {SERVE_REQUESTS} concurrent greedy requests, "

@@ -1,7 +1,7 @@
 """Batched chain driving vs sequential driving under simulated API latency.
 
 Not a paper experiment — this measures the batched chain driver,
-``repro.aio.AsyncChainDriver`` (continuous batching over sans-IO chain
+``repro.aio.AsyncChainDriver`` (lock-step batching over sans-IO chain
 engines), against the sequential one-call-per-step driver.  The offline
 simulated model answers instantly, which hides exactly the cost batching
 removes, so a ``LatencyModel`` wrapper charges every round-trip a fixed

@@ -11,12 +11,10 @@ at once:
   ``model_call`` / ``model_batch`` over an :class:`AsyncLanguageModel`
   adapter (:mod:`repro.aio.adapter`), same spans/tokens/deadline seam as
   the sync :class:`~repro.engine.EffectHandler`.
-* :class:`ContinuousBatcher` (:mod:`repro.aio.batcher`) — continuous
-  batching: chains join mid-flight, identical pending prompts coalesce
-  per tick, finished chains retire immediately.
-* :func:`drive_chain` / :class:`AsyncChainDriver`
-  (:mod:`repro.aio.driver`) — one coroutine per chain; the repo's one
-  batched chain driver.  A static engine set ticks in lock-step.
+* :class:`AsyncChainDriver` (:mod:`repro.aio.driver`) — the repo's one
+  batched chain driver: lock-step ticks that coalesce identical pending
+  prompts into one round-trip and step each distinct chain state once,
+  awaited on the loop or run synchronously.
 * :class:`WeightedFairQueue` (:mod:`repro.aio.fairness`) — per-tenant
   weighted fair queueing for admission order under backlog.
 * :class:`AsyncServer` (:mod:`repro.aio.server`) — the request ladder
@@ -32,8 +30,7 @@ classifications — is pinned by ``tests/aio/test_parity.py``.
 """
 
 from repro.aio.adapter import AsyncLanguageModel, SyncModelAdapter
-from repro.aio.batcher import ContinuousBatcher
-from repro.aio.driver import AsyncChainDriver, drive_chain
+from repro.aio.driver import AsyncChainDriver
 from repro.aio.evaluate import AsyncBatchEvaluator
 from repro.aio.fairness import WeightedFairQueue
 from repro.aio.handler import AsyncEffectHandler
@@ -43,9 +40,7 @@ __all__ = [
     "AsyncLanguageModel",
     "SyncModelAdapter",
     "AsyncEffectHandler",
-    "ContinuousBatcher",
     "AsyncChainDriver",
-    "drive_chain",
     "WeightedFairQueue",
     "AsyncServer",
     "AsyncBatchEvaluator",

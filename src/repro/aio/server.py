@@ -18,9 +18,10 @@ runs too, so the two return equal responses for the same requests
 
 * a request is a *coroutine*, not a thread — the in-flight budget
   (``max_inflight``) can be hundreds without hundreds of stacks;
-* chain runners (greedy and s-vote) are driven through a per-attempt
-  :class:`~repro.aio.batcher.ContinuousBatcher` (voted chains coalesce
-  their ticks), with the deadline on the
+* chain runners (greedy and s-vote) run each attempt as one
+  :class:`~repro.aio.driver.AsyncChainDriver` run (voted chains
+  coalesce their ticks and share their states), with the runner's
+  exception envelope and the deadline on the
   :class:`~repro.aio.handler.AsyncEffectHandler` seam; blocking
   tree/execution voters and the reflexion and degraded rungs run in
   worker threads via ``asyncio.to_thread``;
@@ -43,8 +44,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.aio.batcher import ContinuousBatcher
-from repro.aio.driver import AsyncChainDriver, drive_chain
+from repro.aio.driver import AsyncChainDriver
 from repro.aio.fairness import WeightedFairQueue
 from repro.aio.handler import AsyncEffectHandler
 from repro.errors import (
@@ -316,34 +316,32 @@ class AsyncServer(RequestLadder):
     async def _run_attempt(self, request: TQARequest, seed: int):
         """One seeded attempt, dispatched by runner capability.
 
-        Chain runners (``engine_for`` / ``chain_engines``) are driven as
-        coroutines through a per-attempt continuous batcher with the
-        deadline on the handler seam; blocking voters (tree/execution)
-        run in a worker thread under the ladder's ``DeadlineModel`` wrap.
+        Chain runners (``chain_engines`` / ``engine_for``) run through
+        the batched chain driver, with the runner's exception envelope
+        and the deadline on the handler seam; blocking voters
+        (tree/execution) run in a worker thread under the ladder's
+        ``DeadlineModel`` wrap.
         """
         runner = self.spec.build(seed)
         deadline = self.policy.deadline()
         table, question = request.table, request.question
+        if not hasattr(runner, "chain_engines") and not hasattr(
+                runner, "engine_for"):
+            return await asyncio.to_thread(
+                self._run_blocking, runner, request, deadline)
+        driver = AsyncChainDriver(handler=AsyncEffectHandler(
+            runner.model, runner.registry, deadline=deadline,
+            catch=getattr(runner, "handler_catch", (ExecutionError,))))
         if hasattr(runner, "chain_engines"):
-            # s-vote / ensemble: n chains coalescing their ticks.  The
-            # runner's exception envelope travels with it: voting-family
-            # runners swallow branch failures, the greedy chain does not.
-            driver = AsyncChainDriver(handler=AsyncEffectHandler(
-                runner.model, runner.registry, deadline=deadline,
-                catch=getattr(runner, "handler_catch",
-                              (ExecutionError,))))
-            engines = runner.chain_engines(table, question)
+            # s-vote / ensemble: n chains coalescing their ticks.
             with span("vote_run", method="s-vote", n=runner.n):
-                results = await driver.run(engines)
+                results = await driver.run(
+                    runner.chain_engines(table, question))
             return runner.tally(results)
-        if hasattr(runner, "engine_for"):
-            # Greedy single chain.
-            batcher = ContinuousBatcher(AsyncEffectHandler(
-                runner.model, runner.registry, deadline=deadline))
-            with span("agent_run", trace_id=None) as root:
-                if root is not None:
-                    root.set(question=question[:120])
-                return await drive_chain(
-                    runner.engine_for(table, question), batcher)
-        return await asyncio.to_thread(
-            self._run_blocking, runner, request, deadline)
+        # Greedy single chain.
+        with span("agent_run", trace_id=None) as root:
+            if root is not None:
+                root.set(question=question[:120])
+            (result,) = await driver.run(
+                [runner.engine_for(table, question)])
+            return result

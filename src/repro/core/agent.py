@@ -94,6 +94,11 @@ class ReActTableAgent:
         #: default — it changes the table the model sees.
         self.normalize_columns = normalize_columns
 
+    @property
+    def handler_catch(self) -> tuple:
+        """The strategy's exception envelope, for external drivers."""
+        return self.strategy.handler_catch
+
     def _builder_for(self, question: str) -> PromptBuilder:
         if self.few_shot_selector is None:
             return self.prompt_builder
@@ -108,7 +113,9 @@ class ReActTableAgent:
         The hook batched drivers use: the returned engine carries this
         agent's prompt builder, temperature and iteration caps, ready to
         be driven by a :class:`repro.aio.AsyncChainDriver` alongside
-        other chains.  The engine class itself comes from the strategy
+        other chains (without a few-shot selector, engines for one
+        question share the agent's builder, so the driver can step them
+        as one state).  The engine class itself comes from the strategy
         registry — ``react`` by default, any registered strategy via the
         ``strategy`` constructor knob.
         """

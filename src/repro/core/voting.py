@@ -25,9 +25,11 @@ is wrapped in a ``vote_run`` span carrying the method name.
 
 :class:`SimpleMajorityVoting` additionally supports the batched driver:
 with ``use_scheduler=True`` (the serving pool sets it under
-``batch_scheduler=True``) its *n* chains run concurrently through a
-:class:`repro.aio.AsyncChainDriver`, which coalesces identical pending
-prompts across chains into single batched completions.
+``batch_scheduler=True``) its *n* chains run in lock-step ticks through
+a :class:`repro.aio.AsyncChainDriver`, with no event loop.  The driver
+coalesces identical pending prompts across chains into single batched
+completions, and since the chains start from one prompt builder it
+steps those in the same state as one engine.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ class SimpleMajorityVoting:
     """Algorithm 1: n independent chains, majority answer.
 
     ``use_scheduler=True`` switches from n sequential agent runs to one
-    :class:`repro.aio.AsyncChainDriver` pass driving all n chains
-    concurrently with coalesced model calls.  Same voting policy, one
+    :class:`repro.aio.AsyncChainDriver` pass driving all n chains in
+    lock-step with coalesced model calls.  Same voting policy, one
     batched round-trip per tree level instead of one call per step.
     """
 
@@ -174,7 +176,8 @@ class SimpleMajorityVoting:
         The seam for external drivers (the batched chain driver here and
         in the async server): drive these however you like,
         then combine the results with :meth:`tally` — same voting policy,
-        any sequencing.
+        any sequencing.  The engines share one prompt builder, which
+        lets the batched driver step chains in the same state once.
         """
         agent = self._agent()
         return [agent.engine_for(table, question) for _ in range(self.n)]

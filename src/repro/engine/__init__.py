@@ -13,9 +13,9 @@ re-implement the loop is now a driver over this core:
 * the Codex-CoT baseline — :func:`drive` over :class:`CoTEngine`;
 * the chaos harness — injects at the effect boundary
   (:class:`repro.faults.FaultyEffectHandler`);
-* :class:`repro.aio.AsyncChainDriver` — runs many engines concurrently,
-  coalescing pending model calls into batched ``complete_batch``
-  round-trips.
+* :class:`repro.aio.AsyncChainDriver` — runs many engines in lock-step
+  ticks, coalescing pending model calls into batched ``complete_batch``
+  round-trips and stepping chains in the same state once.
 
 See ``docs/architecture.md`` §10 for the effect-flow diagram.
 """

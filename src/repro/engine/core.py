@@ -317,6 +317,18 @@ class ChainEngine:
             twin.iterations -= 1
         return twin
 
+    def fork(self) -> "ChainEngine":
+        """:meth:`clone`, keeping a pending model call.
+
+        The twin waits on the same call, so it can take a different reply
+        to it: the batched driver forks a state shared by several chains
+        once their completions differ.
+        """
+        twin = self.clone()
+        twin._pending = self._pending
+        twin.iterations = self.iterations
+        return twin
+
     # --- trace notes ----------------------------------------------------------
 
     def _note(self, kind: str, iteration: int, **data) -> None:

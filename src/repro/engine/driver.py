@@ -7,8 +7,8 @@ The split of responsibilities after the sans-IO refactor:
   in the agent stack that calls ``LanguageModel.complete`` or
   ``CodeExecutor.execute``; ``tools/lint_effects.py`` enforces this);
 * :func:`run_chain` / :func:`drive` — *when* effects are performed (the
-  sequencing policy: synchronous here, coalesced in
-  :class:`repro.aio.AsyncChainDriver`).
+  sequencing policy: one chain at a time here, lock-step ticks of
+  coalesced calls in :class:`repro.aio.AsyncChainDriver`).
 
 ``EffectHandler`` also owns telemetry attribution: every model call —
 whether it comes from the greedy agent, a voting branch or a batched

@@ -34,11 +34,10 @@ class CompletionRequest:
     """One logical completion request inside a coalesced batch.
 
     The batched chain driver (:class:`repro.aio.AsyncChainDriver`)
-    collects the pending model calls of many concurrent chains into a
+    collects one tick's pending model calls, across its chains, into a
     list of these and submits them through
     :meth:`LanguageModel.complete_batch` — identical prompts are merged
-    into a single request with a summed ``n`` (continuous-batching
-    style).
+    into a single request with a summed ``n``.
     """
 
     prompt: str

@@ -6,8 +6,9 @@ Two jobs, both runnable without pytest:
    the engine must produce *identical* results — compiled vs interpreted
    SQL, encode cache on vs off (rendered tables and parsed prompts), plan
    cache on vs off, one memoising executor vs a fresh executor per call,
-   and the simulated model's one completion per distinct draw vs every
-   slot recomputed.  This is the check ``repro perf`` runs as a
+   the simulated model's one completion per distinct draw vs every
+   slot recomputed, and the batched driver's shared chain states vs one
+   engine per chain.  This is the check ``repro perf`` runs as a
    tier-1-adjacent smoke.
 
 2. **Timing gate**: measure the optimised path against its disabled
@@ -22,6 +23,7 @@ Two jobs, both runnable without pytest:
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -31,7 +33,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from repro.aio import AsyncChainDriver, AsyncEffectHandler
+from repro.aio import AsyncChainDriver
 from repro.core.actions import Action, ActionKind
 from repro.core.prompt import (
     PromptBuilder,
@@ -218,16 +220,16 @@ class _EffectRecorder(EffectHandler):
         return super().execute(effect)
 
 
-class _BatchRecorder(AsyncEffectHandler):
-    """An async effect handler that keeps every batched model request."""
+class _BatchRecorder(EffectHandler):
+    """An effect handler that keeps every batched model request."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.requests: list[CompletionRequest] = []
 
-    async def model_batch(self, requests):
+    def model_batch(self, requests):
         self.requests.extend(requests)
-        return await super().model_batch(requests)
+        return super().model_batch(requests)
 
 
 def _svote_effects(backend: str) -> list[Execute]:
@@ -297,21 +299,48 @@ def _memo_matches_fresh(backend: str) -> bool:
     return True
 
 
-def _svote_model_calls() -> tuple[SimulatedTQAModel, list]:
-    """The model and model calls of one s-vote attempt.
+def _svote_attempt(dataset_seed: int, *, shared: bool = True):
+    """One built s-vote attempt through :class:`AsyncChainDriver`.
 
-    The five chains run through :class:`AsyncChainDriver`, so chains
-    that share a prompt share one call with ``n > 1``: four calls of five
-    slots, two of them with a second draw.
+    Returns the voter, the batched requests in the order they were made,
+    and the tally.  The five chains start as one shared engine; with
+    ``shared=False`` each takes its own copy of the prompt builder, so
+    no two chains can share.
     """
-    bench = generate_dataset("wikitq", size=1, seed=9)
+    bench = generate_dataset("wikitq", size=1, seed=dataset_seed)
     example = bench.examples[0]
     voter = AgentSpec(bank=bench.bank, voting="s-vote").build(3)
     recorder = _BatchRecorder(voter.model, voter.registry,
                               catch=voter.handler_catch)
-    AsyncChainDriver(handler=recorder).run_sync(
-        voter.chain_engines(example.table, example.question))
-    return voter.model, recorder.requests
+    engines = voter.chain_engines(example.table, example.question)
+    if not shared:
+        for engine in engines:
+            engine.prompt_builder = copy.copy(engine.prompt_builder)
+    results = AsyncChainDriver(handler=recorder).run_sync(engines)
+    return voter, recorder.requests, voter.tally(results)
+
+
+def _svote_model_calls() -> tuple[SimulatedTQAModel, list]:
+    """The model and model calls of one s-vote attempt.
+
+    Chains that share a prompt share one call with ``n > 1``: four calls
+    of five slots, two of them with a second draw.
+    """
+    voter, requests, _ = _svote_attempt(9)
+    return voter.model, requests
+
+
+def _sharing_matches_unshared() -> bool:
+    """Chains sharing an engine must match chains that cannot share.
+
+    The driver forks a shared engine only where its chains' completions
+    differ; a wrong fork gives some chain another chain's step, which
+    shows in the later requests or in the tally.  This attempt's shared
+    engine forks twice, and its vote splits three ways.
+    """
+    _, requests, tally = _svote_attempt(50)
+    _, unshared_requests, unshared_tally = _svote_attempt(50, shared=False)
+    return requests == unshared_requests and tally == unshared_tally
 
 
 def _per_slot(model: SimulatedTQAModel,
@@ -399,6 +428,8 @@ def run_checks() -> list[str]:
                 f"executor memo changed an execution ({backend} backend)")
     if not _sharing_matches_per_slot():
         failures.append("draw sharing changed a completion")
+    if not _sharing_matches_unshared():
+        failures.append("shared chain states changed an s-vote attempt")
     return failures
 
 

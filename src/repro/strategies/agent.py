@@ -7,8 +7,7 @@ handles both the alternating chain shape and the CoT shape's multiple
 execute effects per model call).  It exposes the same serving surface as
 the specialised agents: ``model`` / ``registry`` attributes (the worker
 pool wraps ``model`` in a deadline guard) and an ``engine_for`` hook
-(the async server's greedy chain path and the batched scheduler build
-engines through it).
+(the async server's greedy chain path builds engines through it).
 """
 
 from __future__ import annotations

@@ -60,7 +60,9 @@ class HeterogeneousEnsemble:
         The external-driver seam (the batched chain driver): drive these
         however you like, then :meth:`tally` the
         results — positional alignment with ``strategies`` carries each
-        branch's extraction contract.
+        branch's extraction contract.  Each member's engine gets a prompt
+        builder of its own, so the batched driver never steps two
+        members as one.
         """
         languages = tuple(self.registry.languages)
         return [

@@ -6,8 +6,7 @@ tick whose members all share one ``(prompt, temperature)`` key is a
 single logical request, finished chains leave the tick population
 immediately, and a :class:`FaultyModel` (one fault draw per logical
 request) and faulty executors inject through the batched seam exactly
-as scheduled.  Late joins are covered by
-``tests/aio/test_batcher.py``.
+as scheduled.
 """
 
 import pytest

@@ -2,6 +2,7 @@
 
 import json
 
+import repro.aio.driver
 from repro.core.prompt import parse_prompt
 from repro.executors import PythonExecutor, SQLExecutor
 from repro.executors.base import history_key
@@ -133,3 +134,30 @@ class TestDrawSharingParityCheck:
 
         monkeypatch.setattr(SimulatedTQAModel, "complete", complete)
         assert run_checks() == ["draw sharing changed a completion"]
+
+
+def _fork_by_slot(chains, handed):
+    """The batched driver's fork step, deciding by slot, not by text.
+
+    The first chain of a shared engine keeps it and every later chain
+    takes one common twin, whatever completions they were handed.
+    """
+    twins, replies = {}, []
+    for index, completions in handed:
+        engine = chains[index]
+        if id(engine) not in twins:
+            twins[id(engine)] = None
+            replies.append((engine, completions))
+            continue
+        if twins[id(engine)] is None:
+            twins[id(engine)] = engine.fork()
+            replies.append((twins[id(engine)], completions))
+        chains[index] = twins[id(engine)]
+    return replies
+
+
+class TestSharedStateParityCheck:
+    def test_flags_a_driver_that_forks_by_slot(self, monkeypatch):
+        monkeypatch.setattr(repro.aio.driver, "_fork", _fork_by_slot)
+        assert run_checks() == [
+            "shared chain states changed an s-vote attempt"]

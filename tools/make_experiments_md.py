@@ -54,20 +54,30 @@ Regenerate with::
     python -m pytest benchmarks/ --benchmark-only
     python tools/make_experiments_md.py
 
-Headline shapes reproduced:
+Headline shapes, as the tables below measure them:
 
-* intermediate tables carry the framework: ReAcTable beats Codex-CoT by a
-  double-digit margin on both WikiTQ and TabFact (Tables 4/5);
+* intermediate tables carry the framework: ReAcTable beats Codex-CoT on
+  both datasets, by 20.7 points on WikiTQ (65.5% vs 44.8%) and by 9.0
+  points on TabFact (82.8% vs 73.8%) (Tables 4/5);
 * s-vote improves ReAcTable but *not* Codex-CoT on WikiTQ (Table 4);
 * every question resolves within five iterations; >70% within two
-  (Figure 4), with accuracy peaking at two iterations (Table 6);
+  (Figure 4).  Accuracy is highest at one iteration (73.5%, 34
+  questions), 70.1% at two and 72.0% at three, and lower at four and
+  five, which few questions reach (Table 6); the paper peaks at two;
 * an iteration cap of 1 collapses accuracy towards the CoT baseline and
   a cap of 2 recovers most of it (Table 7);
 * removing the Python executor costs accuracy on both datasets, more on
   TabFact (Tables 8/9);
-* codex-sim > davinci-sim > turbo-sim, e-vote is N.A. without
-  log-probabilities, e-vote is the best configuration for davinci-sim,
-  and s-vote does not help turbo-sim (Tables 10/11).
+* greedy accuracy orders codex-sim > davinci-sim > turbo-sim on WikiTQ
+  (65.5% / 60.5% / 53.2%), but on TabFact davinci-sim leads codex-sim
+  (87.8% vs 82.8%), where the paper has codex ahead (Tables 10/11);
+* e-vote is N.A. without log-probabilities (Tables 10/11);
+* davinci-sim's best configuration is t-vote on WikiTQ (68.2%) and
+  greedy or s-vote on TabFact (87.8% each); the paper has e-vote best
+  on both (Tables 10/11);
+* s-vote does not help turbo-sim on WikiTQ (53.2% to 49.8%) but does on
+  TabFact (75.8% to 77.2%); the paper has it slightly lower on both
+  (Tables 10/11).
 
 """
 

@@ -28,13 +28,15 @@ completion keeps the engine and each other one takes a twin
 Every chain reports its engine's result.
 
 **Order.**  The next tick visits the chains in the order this one handed
-out completions, request by request and slot by slot — the order in
-which a coroutine per chain parked on a batcher would wake.  So the same
-``complete_batch`` call sequence reaches the model on every run, and even
-sampled (temperature > 0) chains draw bit-identically (pinned against
-the lock-step reference in ``tests/engine/lockstep.py`` by
-``tests/aio/test_driver.py``).  A model or executor exception leaves the
-run; nothing else is left running.
+out completions, request by request and slot by slot.  The model's
+draws follow its call sequence, so with a fixed order the same
+``complete_batch`` calls reach it on every run and even sampled
+(temperature > 0) chains draw bit-identically (pinned against the
+lock-step reference in ``tests/engine/lockstep.py`` by
+``tests/aio/test_driver.py``).  Hand-out order rather than input order
+keeps the request sequence the pinned results were recorded with.  A
+model or executor exception leaves the run; nothing else is left
+running.
 """
 
 from __future__ import annotations

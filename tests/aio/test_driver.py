@@ -207,6 +207,21 @@ class TestCoalescing:
         assert [r.answer for r in results] == [["42"], ["42"]]
 
 
+    def test_next_tick_follows_hand_out_order(self, cyclists):
+        """Chains 1 and 3 share tick 1's first request, so tick 2 visits
+        them before chain 2, not in input order."""
+        model = TrackingModel(ScriptedModel(
+            [SQL, OTHER_SQL, SQL] + [ANSWER] * 3))
+        first, second = "who ranked first?", "which team won?"
+        engines = [ReActTableAgent(model).engine_for(cyclists, question)
+                   for question in (first, second, first)]
+        AsyncChainDriver(model, default_registry()).run_sync(engines)
+        assert [r.n for r in model.batches[0]] == [2, 1]
+        questions = [first, first, second]
+        assert all(question in request.prompt for question, request
+                   in zip(questions, model.batches[1]))
+
+
 class TestSharedStates:
     def test_one_build_and_one_execution_per_distinct_state(self,
                                                             cyclists):
@@ -309,15 +324,15 @@ class TestSharedStates:
                         engines)
                     runs.append((handler.log, voter.tally(results),
                                  results))
-                (log, tally, shared), (log_1, tally_1, unshared) = runs
-                assert log == log_1 and tally == tally_1
-                for mine, theirs in zip(shared, unshared):
-                    assert mine.answer == theirs.answer
-                    assert mine.iterations == theirs.iterations
-                    assert mine.forced == theirs.forced
-                    assert ([e for e in mine.handling_events
+                (log, tally, shared), (own_log, own_tally, own) = runs
+                assert log == own_log and tally == own_tally
+                for result, own_result in zip(shared, own):
+                    assert result.answer == own_result.answer
+                    assert result.iterations == own_result.iterations
+                    assert result.forced == own_result.forced
+                    assert ([e for e in result.handling_events
                              if INSTALL_NOTE not in e]
-                            == [e for e in theirs.handling_events
+                            == [e for e in own_result.handling_events
                                 if INSTALL_NOTE not in e])
 
 

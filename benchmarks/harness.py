@@ -48,6 +48,8 @@ class FallbackBenchmark:
     Registered by ``conftest.py`` when pytest-benchmark is not installed,
     so the ``bench_*`` suites still run (best-of-N wall time, recorded in
     ``.stats``) instead of erroring on the missing ``benchmark`` fixture.
+    Calling it times ``rounds`` calls; :meth:`pedantic` takes the rounds
+    and calls per round from its caller, as pytest-benchmark's does.
     """
 
     def __init__(self, rounds: int = 5):
@@ -55,17 +57,26 @@ class FallbackBenchmark:
         self.stats: dict[str, float] = {}
 
     def __call__(self, fn, *args, **kwargs):
+        return self._time(fn, args, kwargs, self.rounds, 1)
+
+    def pedantic(self, target, args=(), kwargs=None, rounds=1,
+                 iterations=1):
+        return self._time(target, args, kwargs or {}, rounds, iterations)
+
+    def _time(self, fn, args, kwargs, rounds, iterations):
+        """Best and mean seconds per call over ``rounds`` timed rounds."""
         best = float("inf")
         total = 0.0
         result = None
-        for _ in range(self.rounds):
+        for _ in range(rounds):
             start = time.perf_counter()
-            result = fn(*args, **kwargs)
-            elapsed = time.perf_counter() - start
+            for _ in range(iterations):
+                result = fn(*args, **kwargs)
+            elapsed = (time.perf_counter() - start) / iterations
             total += elapsed
             best = min(best, elapsed)
-        self.stats = {"min": best, "mean": total / self.rounds,
-                      "rounds": self.rounds}
+        self.stats = {"min": best, "mean": total / rounds,
+                      "rounds": rounds}
         return result
 
 VOTE_SAMPLES = 5

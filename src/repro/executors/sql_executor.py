@@ -3,8 +3,11 @@
 Two interchangeable backends execute the query:
 
 * ``"sqlite"`` — the stdlib :mod:`sqlite3` engine the paper used.  Every
-  table in the history is loaded into an in-memory database so queries can
-  reference any of them.
+  table in the history is in the calling thread's in-memory database when
+  the query runs, so queries can reference any of them.  That database is
+  kept across queries (:class:`WarmDatabase`): only tables the thread's
+  previous query did not hold with the same content are loaded, and held
+  tables outside the history are dropped.
 * ``"native"`` — the from-scratch engine in :mod:`repro.sqlengine`.
 
 Exception handling (Section 3.3, "SQL exceptions"): when a query fails —
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
+import threading
 from collections.abc import Sequence
 
 from repro.errors import SQLError, SQLExecutionError
@@ -35,7 +39,8 @@ from repro.table.frame import DataFrame
 from repro.table.schema import ColumnType, is_missing
 from repro.telemetry.spans import span
 
-__all__ = ["SQLExecutor", "run_sqlite_query", "rewrite_from_table"]
+__all__ = ["SQLExecutor", "WarmDatabase", "WARM_DATABASE",
+           "run_sqlite_query", "rewrite_from_table"]
 
 _FROM_RE = re.compile(r"(\bFROM\s+)([\"\[\`]?)([A-Za-z_][A-Za-z0-9_]*)"
                       r"([\"\]\`]?)", re.IGNORECASE)
@@ -67,41 +72,135 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
-def run_sqlite_query(sql: str, tables: dict[str, DataFrame]) -> DataFrame:
-    """Execute one SELECT in an in-memory SQLite database.
+def _load(connection: sqlite3.Connection, name: str,
+          frame: DataFrame) -> None:
+    """Create table ``name`` with the frame's declared types and fill it.
 
-    All frames in ``tables`` are loaded so the query may reference any of
-    them.  Returns the result as a frame; raises sqlite3 errors unchanged,
-    including for a statement that is not a query.
+    Rows go in in frame order (so rowids are 1..n), missing values as
+    NULL and bools as integers, each chunk as one multi-row ``INSERT``:
+    one statement steps once, where ``executemany`` stepped (and released
+    the interpreter lock) once per row.  A chunk holds as many rows as the
+    connection's bound on ``?`` parameters allows.
     """
-    connection = sqlite3.connect(":memory:")
-    try:
-        cursor = connection.cursor()
-        for name, frame in tables.items():
-            column_defs = ", ".join(
-                f"{_quote(col)} {_SQLITE_TYPE[frame.column(col).dtype]}"
-                for col in frame.columns)
-            cursor.execute(f"CREATE TABLE {_quote(name)} ({column_defs})")
-            if frame.num_rows:
-                placeholders = ", ".join("?" * frame.num_columns)
-                cursor.executemany(
-                    f"INSERT INTO {_quote(name)} VALUES ({placeholders})",
-                    [
-                        tuple(
-                            None if is_missing(v)
-                            else (int(v) if isinstance(v, bool) else v)
-                            for v in row)
-                        for row in frame.to_rows()
-                    ])
+    quoted = _quote(name)
+    column_defs = ", ".join(
+        f"{_quote(col)} {_SQLITE_TYPE[frame.column(col).dtype]}"
+        for col in frame.columns)
+    connection.execute(f"CREATE TABLE {quoted} ({column_defs})")
+    rows = frame.to_rows()
+    width = frame.num_columns
+    chunk = max(1, connection.getlimit(
+        sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER) // width)
+    row_marks = "(" + ", ".join("?" * width) + ")"
+    for start in range(0, len(rows), chunk):
+        part = rows[start:start + chunk]
+        values = ", ".join([row_marks] * len(part))
+        connection.execute(
+            f"INSERT INTO {quoted} VALUES {values}",
+            [None if is_missing(value)
+             else (int(value) if isinstance(value, bool) else value)
+             for row in part for value in row])
+
+
+class WarmDatabase(threading.local):
+    """Each thread's one in-memory SQLite database, kept across queries.
+
+    A thread's first query opens its database; nothing opens at import.
+    The database holds exactly the tables of the thread's last query, each
+    remembered with the :meth:`~repro.table.frame.DataFrame.content_digest`
+    it was loaded from.  Before a query, :meth:`_sync` drops every held
+    table the query's history does not name or whose content changed, and
+    loads only the tables still missing, so a query sees its own history's
+    tables and nothing else.
+
+    The database lives per thread, not per executor: serving builds
+    executors per attempt, so a per-executor database would still open
+    once per attempt.  :meth:`clear` closes the calling thread's
+    database; one whose thread ended is freed by the garbage collector.
+
+    Statements are never cached (``cached_statements=0``), so each one is
+    prepared under the authorizer in force: a query whose text repeats a
+    load statement cannot run unauthorized from a statement cache.
+    Autocommit (``isolation_level=None``) keeps any transaction from
+    spanning queries.
+    """
+
+    def __init__(self):
+        self._connection: sqlite3.Connection | None = None
+        #: Held table name -> content digest of the frame it was loaded from.
+        self._held: dict[str, str] = {}
+
+    def query(self, sql: str, tables: dict[str, DataFrame]) -> DataFrame:
+        """Run ``sql`` over exactly ``tables`` on this thread's database."""
+        connection = self._connection
+        if connection is None:
+            connection = self._connection = sqlite3.connect(
+                ":memory:", isolation_level=None, cached_statements=0)
+        try:
+            connection.set_authorizer(None)
+            self._sync(connection, tables)
+        except BaseException:
+            # A half-done load leaves tables the held map does not
+            # describe; start the thread's next query on a new database.
+            self.clear()
+            raise
         connection.set_authorizer(_authorize_query)
-        cursor.execute(sql)
-        if cursor.description is None:  # e.g. SQL that is only a comment
-            raise sqlite3.ProgrammingError("statement returned no result set")
-        columns = [desc[0] for desc in cursor.description]
-        rows = [tuple(row) for row in cursor.fetchall()]
+        cursor = connection.cursor()
+        try:
+            cursor.execute(sql)
+            if cursor.description is None:  # e.g. SQL that is only a comment
+                raise sqlite3.ProgrammingError(
+                    "statement returned no result set")
+            columns = [desc[0] for desc in cursor.description]
+            rows = [tuple(row) for row in cursor.fetchall()]
+        finally:
+            cursor.close()
         return DataFrame.from_rows(rows, _dedupe(columns))
-    finally:
-        connection.close()
+
+    def _sync(self, connection: sqlite3.Connection,
+              tables: dict[str, DataFrame]) -> None:
+        """Make the held tables exactly ``tables``, loading only changes."""
+        held = self._held
+        for name, digest in list(held.items()):
+            frame = tables.get(name)
+            if frame is None or frame.content_digest() != digest:
+                del held[name]
+                connection.execute(f"DROP TABLE {_quote(name)}")
+        for name, frame in tables.items():
+            if name not in held:
+                _load(connection, name, frame)
+                held[name] = frame.content_digest()
+
+    def clear(self) -> None:
+        """Close the calling thread's database; the next query opens anew."""
+        connection, self._connection, self._held = self._connection, None, {}
+        if connection is not None:
+            connection.close()
+
+
+#: The warm database every sqlite query runs on, one per thread.
+WARM_DATABASE = WarmDatabase()
+
+
+def run_sqlite_query(sql: str, tables: dict[str, DataFrame]) -> DataFrame:
+    """Execute one SELECT on the calling thread's warm SQLite database.
+
+    The query sees exactly the frames in ``tables`` under their names,
+    loaded as a fresh database would hold them: the same declared column
+    types, rows in frame order (so the same rowids), NULL for missing
+    values and bools as integers.  Tables the thread's previous query
+    already loaded with the same content are kept; the rest are dropped
+    or loaded (:class:`WarmDatabase`).  Returns the result as a frame;
+    raises sqlite3 errors unchanged, including for a statement that is
+    not a query, and the ``OverflowError`` or ``UnicodeEncodeError`` of a
+    cell or text sqlite cannot take.
+
+    Connection state is the one thing a fresh database would report
+    otherwise: ``changes()``, ``total_changes()``, ``last_insert_rowid()``
+    and ``sqlite_master``'s row order and root pages reflect the thread's
+    load history.
+    """
+    return WARM_DATABASE.query(sql, tables)
 
 
 def _dedupe(names: list[str]) -> list[str]:
@@ -192,7 +291,13 @@ class SQLExecutor(CodeExecutor):
             # The native backend opens its own sql_execute span (with
             # parse/compile children) inside execute_sql.
             with span("sql_execute", backend="sqlite"):
-                return run_sqlite_query(sql, catalog)
+                try:
+                    return run_sqlite_query(sql, catalog)
+                except (OverflowError, UnicodeEncodeError) as exc:
+                    # A cell sqlite cannot bind (an integer outside 64
+                    # bits) or text it cannot encode (a lone surrogate)
+                    # fails this candidate like any sqlite3 error.
+                    raise sqlite3.InterfaceError(str(exc)) from exc
         return execute_sql(sql, catalog)
 
     @staticmethod

@@ -7,9 +7,10 @@ Two jobs, both runnable without pytest:
    SQL, encode cache on vs off (rendered tables and parsed prompts), plan
    cache on vs off, one memoising executor vs a fresh executor per call,
    the simulated model's one completion per distinct draw vs every
-   slot recomputed, and the batched driver's shared chain states vs one
-   engine per chain.  This is the check ``repro perf`` runs as a
-   tier-1-adjacent smoke.
+   slot recomputed, the batched driver's shared chain states vs one
+   engine per chain, and each sqlite query on the thread's warm database
+   vs the same query on a new one.  This is the check ``repro perf`` runs
+   as a tier-1-adjacent smoke.
 
 2. **Timing gate**: measure the optimised path against its disabled
    counterpart (same process, same machine, back to back), enforce the
@@ -44,6 +45,7 @@ from repro.core.prompt import (
 from repro.datasets.generators import generate_dataset
 from repro.engine.driver import EffectHandler, run_chain
 from repro.engine.effects import Execute, ExecResult
+from repro.executors import sql_executor
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.llm.base import Completion, CompletionRequest
 from repro.llm.simulated import SimulatedTQAModel
@@ -299,6 +301,71 @@ def _memo_matches_fresh(backend: str) -> bool:
     return True
 
 
+def _sqlite_calls() -> list[tuple[str, dict[str, DataFrame]]]:
+    """The ``run_sqlite_query`` calls of two attempts, in the order made.
+
+    One greedy and one s-vote attempt, each on the first question of a
+    one-question wikitq set.  The calls include the FROM-rewrite retries
+    and the simulated model's private executions.
+    """
+    calls: list[tuple[str, dict[str, DataFrame]]] = []
+    original = sql_executor.run_sqlite_query
+
+    def recording(sql, tables):
+        calls.append((sql, dict(tables)))
+        return original(sql, tables)
+
+    sql_executor.run_sqlite_query = recording
+    try:
+        for dataset_seed, voting in ((95, "none"), (9, "s-vote")):
+            bench = generate_dataset("wikitq", size=1, seed=dataset_seed)
+            example = bench.examples[0]
+            AgentSpec(bank=bench.bank, voting=voting).build(3).run(
+                example.table, example.question)
+    finally:
+        sql_executor.run_sqlite_query = original
+    return calls
+
+
+def _query_signature(sql: str, tables: dict[str, DataFrame]) -> tuple:
+    """What a caller observes of one sqlite query: frame or failure."""
+    try:
+        frame = sql_executor.run_sqlite_query(sql, tables)
+    except Exception as exc:  # noqa: BLE001 - parity includes error class
+        return ("error", type(exc), str(exc))
+    return ("ok", frame.columns,
+            [str(dtype) for dtype in frame.dtypes.values()],
+            repr(frame.to_rows()))
+
+
+def _warm_database_matches_fresh() -> bool:
+    """Each sqlite query on the warm database must match a new database.
+
+    The 27 queries of one built greedy attempt and one s-vote attempt, 17
+    of them failing candidates, replay in run order, each over its
+    tables, over the same tables renamed ``S<k>`` and over its tables
+    again.  Consecutive queries so keep, replace, drop and add tables,
+    and a renamed query that names ``T<k>`` fails unless a stale table
+    survived.  Each result is compared with the same query after
+    ``clear()``.
+    """
+    calls = _sqlite_calls()
+    database = sql_executor.WARM_DATABASE
+    database.clear()
+    try:
+        for sql, tables in calls:
+            renamed = {f"S{index}": frame
+                       for index, frame in enumerate(tables.values())}
+            for history in (tables, renamed, tables):
+                warm = _query_signature(sql, history)
+                database.clear()
+                if _query_signature(sql, history) != warm:
+                    return False
+    finally:
+        database.clear()
+    return True
+
+
 def _svote_attempt(dataset_seed: int, *, shared: bool = True):
     """One built s-vote attempt through :class:`AsyncChainDriver`.
 
@@ -430,6 +497,8 @@ def run_checks() -> list[str]:
         failures.append("draw sharing changed a completion")
     if not _sharing_matches_unshared():
         failures.append("shared chain states changed an s-vote attempt")
+    if not _warm_database_matches_fresh():
+        failures.append("warm sqlite database changed a query")
     return failures
 
 

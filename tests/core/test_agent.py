@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import ReActTableAgent
 from repro.errors import IterationLimitError
+from repro.executors import default_registry
 from repro.llm import ScriptedModel
+from repro.table import DataFrame
 
 
 QUESTION = "which country had the most cyclists finish in the top 10?"
@@ -78,6 +80,24 @@ class TestExceptionHandling:
         assert result.answer == ["forced"]
         assert result.forced
         assert model.prompts[-1].endswith("ReAcTable: Answer:")
+
+    @pytest.mark.parametrize("backend", ["sqlite", "native"])
+    @pytest.mark.parametrize("cell", [2 ** 70, "\ud800"],
+                             ids=["past_64_bits", "lone_surrogate"])
+    def test_cell_sqlite_cannot_take_ends_in_an_answer(self, backend, cell):
+        # sqlite cannot bind an integer past 64 bits or a lone surrogate:
+        # its query fails and the chain forces an answer; the native
+        # engine runs the query.  Either way the run answers.
+        table = DataFrame({"k": ["a", "b"], "v": [1, cell]}, name="T0")
+        model = ScriptedModel([
+            "ReAcTable: SQL: ```SELECT k FROM T0 WHERE k = 'b';```.",
+            "ReAcTable: Answer: ```b```.",
+        ])
+        agent = ReActTableAgent(
+            model, registry=default_registry(sql_backend=backend))
+        result = agent.run(table, "which k?")
+        assert result.answer == ["b"]
+        assert result.forced == (backend == "sqlite")
 
     def test_python_crash_forces_answer(self, cyclists):
         model = ScriptedModel([

@@ -184,3 +184,40 @@ class TestNonQueryStatements:
             "WITH RECURSIVE n(x) AS (SELECT 1 UNION ALL "
             "SELECT x + 1 FROM n WHERE x < 3) SELECT x FROM n", history)
         assert recursive.table.to_rows() == [(1,), (2,), (3,)]
+
+
+class TestCellsSqliteCannotTake:
+    """A cell or text sqlite cannot bind fails the query, not the caller."""
+
+    CELLS = pytest.mark.parametrize(
+        "cell", [2 ** 70, "\ud800"], ids=["past_64_bits", "lone_surrogate"])
+
+    @CELLS
+    def test_sqlite_fails_every_candidate(self, cell):
+        t0 = DataFrame({"k": ["a", "b"], "v": [1, cell]}, name="T0")
+        t1 = t0.select(["k"]).with_name("T1")
+        with pytest.raises(SQLExecutionError) as exc_info:
+            SQLExecutor("sqlite").execute(
+                "SELECT k FROM T1 WHERE k = 'b'", [t0, t1])
+        assert "every candidate table" in str(exc_info.value)
+        assert str(exc_info.value).count(" | ") == 1  # T1, then T0
+
+    @CELLS
+    def test_native_answers(self, cell):
+        t0 = DataFrame({"k": ["a", "b"], "v": [1, cell]}, name="T0")
+        outcome = SQLExecutor("native").execute(
+            "SELECT k FROM T0 WHERE k = 'b'", [t0])
+        assert outcome.table.to_rows() == [("b",)]
+
+    def test_sql_text_sqlite_cannot_encode(self, cyclists):
+        with pytest.raises(SQLExecutionError):
+            SQLExecutor("sqlite").execute(
+                "SELECT Cyclist FROM T0 WHERE Team = '\ud800'", [cyclists])
+
+    def test_the_next_query_runs(self, cyclists):
+        executor = SQLExecutor("sqlite")
+        bad = DataFrame({"v": [2 ** 70]}, name="T0")
+        with pytest.raises(SQLExecutionError):
+            executor.execute("SELECT v FROM T0", [bad])
+        outcome = executor.execute("SELECT COUNT(*) FROM T0", [cyclists])
+        assert outcome.table.to_rows() == [(4,)]

@@ -6,6 +6,7 @@ import repro.aio.driver
 from repro.core.prompt import parse_prompt
 from repro.executors import PythonExecutor, SQLExecutor
 from repro.executors.base import history_key
+from repro.executors.sql_executor import WarmDatabase, _load, _quote
 from repro.llm import SimulatedTQAModel
 from repro.perf.encode_cache import EncodedTableCache
 from repro.perf.gate import main, run_checks, run_gate
@@ -161,3 +162,34 @@ class TestSharedStateParityCheck:
         monkeypatch.setattr(repro.aio.driver, "_fork", _fork_by_slot)
         assert run_checks() == [
             "shared chain states changed an s-vote attempt"]
+
+
+def _sync_by_name(self, connection, tables):
+    """The warm database's sync, keeping any held table of a wanted name."""
+    for name in [name for name in self._held if name not in tables]:
+        del self._held[name]
+        connection.execute(f"DROP TABLE {_quote(name)}")
+    for name, frame in tables.items():
+        if name not in self._held:
+            _load(connection, name, frame)
+            self._held[name] = frame.content_digest()
+
+
+def _sync_never_dropping(self, connection, tables):
+    """The warm database's sync, leaving tables outside the history."""
+    for name, frame in tables.items():
+        if self._held.get(name) != frame.content_digest():
+            if name in self._held:
+                connection.execute(f"DROP TABLE {_quote(name)}")
+            _load(connection, name, frame)
+            self._held[name] = frame.content_digest()
+
+
+class TestWarmDatabaseParityCheck:
+    def test_flags_a_database_keyed_by_name_only(self, monkeypatch):
+        monkeypatch.setattr(WarmDatabase, "_sync", _sync_by_name)
+        assert run_checks() == ["warm sqlite database changed a query"]
+
+    def test_flags_a_database_that_never_drops(self, monkeypatch):
+        monkeypatch.setattr(WarmDatabase, "_sync", _sync_never_dropping)
+        assert run_checks() == ["warm sqlite database changed a query"]

@@ -9,6 +9,7 @@ import pytest
 from repro.core import ReActTableAgent
 from repro.datasets.spec import QuestionBank
 from repro.errors import QueueClosedError, ServingError, TransientModelError
+from repro.executors import default_registry
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
 from repro.retry import ExponentialBackoff
@@ -20,6 +21,7 @@ from repro.serving import (
     ServingMetrics,
     WorkerPool,
 )
+from repro.table import DataFrame
 from repro.tracing import ChainTracer
 
 ANSWER = "ReAcTable: Answer: ```ok```."
@@ -446,3 +448,38 @@ class TestLineBreakCells:
                     variant, example.question, seed=1).result(timeout=30)
         assert responses["\r"].outcome == "ok"
         assert responses["\r"].answer == responses[" "].answer
+
+
+class SQLBackendSpec(StubSpec):
+    """Agents that run one scripted SQL step on a chosen SQL backend."""
+
+    def __init__(self, backend):
+        super().__init__(lambda: ScriptedModel([
+            "ReAcTable: SQL: ```SELECT k FROM T0 WHERE k = 'b';```.",
+            "ReAcTable: Answer: ```b```.",
+        ]))
+        self.backend = backend
+
+    def build(self, seed):
+        self.built_seeds.append(seed)
+        return ReActTableAgent(
+            self.model_factory(),
+            registry=default_registry(sql_backend=self.backend))
+
+
+class TestCellsSqliteCannotTake:
+    @pytest.mark.parametrize("backend", ["sqlite", "native"])
+    @pytest.mark.parametrize("cell", [2 ** 70, "\ud800"],
+                             ids=["past_64_bits", "lone_surrogate"])
+    def test_answered_on_the_first_attempt(self, backend, cell):
+        # sqlite cannot bind the cell: its query fails and the chain
+        # forces an answer inside the attempt, instead of the attempt
+        # raising and the ladder degrading the request.
+        table = DataFrame({"k": ["a", "b"], "v": [1, cell]}, name="T0")
+        with WorkerPool(SQLBackendSpec(backend), workers=1) as pool:
+            response = pool.submit(table, "which k?", seed=1).result(
+                timeout=30)
+        assert response.outcome == "ok"
+        assert response.attempts == 1
+        assert response.answer == ["b"]
+        assert response.forced == (backend == "sqlite")

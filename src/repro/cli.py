@@ -20,8 +20,8 @@ Subcommands:
   through the hardened serving stack and report the degradation curve
   (accuracy, answer rate, classified outcomes, breaker/retry activity).
 * ``perf`` — the performance-layer smoke: optimisations disabled must
-  produce identical results (compiled vs interpreted SQL, caches on vs
-  off); ``--timings`` additionally runs the benchmark regression gate.
+  produce identical results (vectorized vs interpreted SQL, caches on
+  vs off); ``--timings`` additionally runs the benchmark regression gate.
 * ``trace`` — inspect a telemetry trace file written by ``batch``,
   ``chaos``, or ``analyze``: ``summary`` (per-request span depth,
   per-stage wall time, token totals), ``critical-path``, ``flame``

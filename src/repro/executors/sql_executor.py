@@ -289,7 +289,7 @@ class SQLExecutor(CodeExecutor):
     def _run(self, sql: str, catalog: dict[str, DataFrame]) -> DataFrame:
         if self.backend == "sqlite":
             # The native backend opens its own sql_execute span (with
-            # parse/compile children) inside execute_sql.
+            # parse and plan-rewrite children) inside execute_sql.
             with span("sql_execute", backend="sqlite"):
                 try:
                     return run_sqlite_query(sql, catalog)

@@ -12,7 +12,7 @@ that do not belong to one substrate:
 * :mod:`repro.perf.gate` — runs the perf benchmark suite, writes
   ``results/BENCH_perf_substrates.json`` and fails on regression.
 
-The sqlengine-specific pieces (plan cache, expression compiler) live in
+The sqlengine-specific pieces (plan cache, vector kernels) live in
 :mod:`repro.sqlengine`.
 """
 

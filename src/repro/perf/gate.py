@@ -3,8 +3,8 @@
 Two jobs, both runnable without pytest:
 
 1. **Correctness smoke** (rate-0-style): with every optimisation disabled
-   the engine must produce *identical* results — compiled vs interpreted
-   SQL, encode cache on vs off (rendered tables and parsed prompts), plan
+   the engine must produce *identical* results — vectorized vs
+   interpreted SQL, encode cache on vs off (rendered tables and parsed prompts), plan
    cache on vs off, one memoising executor vs a fresh executor per call,
    the simulated model's one completion per distinct draw vs every
    slot recomputed, the batched driver's shared chain states vs one
@@ -72,7 +72,8 @@ GROUP_SQL = ("SELECT bucket, COUNT(*), SUM(value) FROM T0 "
              "ORDER BY COUNT(*) DESC")
 
 #: Vectorized-engine workloads, timed against ``REPRO_SQL_VECTOR=0``
-#: (the row-compiled engine — same parser, same plan cache, no kernels).
+#: (the interpreter — same parser, same plan cache, no kernels and no
+#: plan rewrites).
 FILTER_SQL = ("SELECT id, value FROM T0 "
               "WHERE value > 2500 AND value < 7500 AND bucket <> 'c'")
 JOIN_SQL = ("SELECT a.id, b.weight FROM L a JOIN R b "
@@ -94,16 +95,20 @@ CASE_NAMES = (
     "dataframe_group_aggregate",
 )
 
-#: Hard speedup floors from the PR acceptance criteria.
+#: Hard speedup floors.  The gated ``vector_*`` floors were 3.0x over a
+#: row-compiled tier that has since been deleted.  Against the
+#: interpreter each is 3.0x times that case's interpreter / row-compiled
+#: time (interleaved best of 20 on a 2-CPU host, the lower of two runs),
+#: so it guards no less than before.
 FLOORS = {
     "native_group_aggregate": 2.0,
     "prompt_encode_repeat": 3.0,
-    "vector_filter_scan": 3.0,
-    "vector_group_aggregate": 3.0,
-    "vector_hash_join": 3.0,
+    "vector_filter_scan": 5.5,
+    "vector_group_aggregate": 8.8,
+    "vector_hash_join": 9.4,
 }
 
-#: Fixed query list for the compiled-vs-interpreted smoke (the full
+#: Fixed query list for the vectorized-vs-interpreted smoke (the full
 #: randomized differential test lives in tests/sqlengine).
 SMOKE_QUERIES = [
     "SELECT * FROM T0",
@@ -450,18 +455,12 @@ def run_checks() -> list[str]:
 
     for sql in SMOKE_QUERIES:
         vectorized = _run_or_error(sql, catalog)
-        with _env("REPRO_SQL_COMPILE", "0"):
+        with _env("REPRO_SQL_VECTOR", "0"):
             interpreted = _run_or_error(sql, catalog)
         if vectorized != interpreted:
             failures.append(
                 f"vectorized != interpreted for {sql!r}: "
                 f"{vectorized[:2]} vs {interpreted[:2]}")
-        with _env("REPRO_SQL_VECTOR", "0"):
-            compiled = _run_or_error(sql, catalog)
-        if vectorized != compiled:
-            failures.append(
-                f"vectorized != row-compiled for {sql!r}: "
-                f"{vectorized[:2]} vs {compiled[:2]}")
 
     with _env("REPRO_SQL_PLAN_CACHE", "0"):
         uncached_plan = _run_or_error(GROUP_SQL, catalog)
@@ -526,32 +525,34 @@ def run_timings(*, repeats: int = 3, only: str | None = None) -> dict:
             "floor": FLOORS.get(name),
         }
 
+    # Vectorized engine vs the interpreter (REPRO_SQL_VECTOR=0): same
+    # parser and plan cache on both sides, so the ratio isolates the
+    # columnar kernels, plan rewrites, and hash join.  The two group
+    # cases time the same pair under the floors they have had since the
+    # engine had a row-compiled tier between them.
     if wanted("native_group_aggregate"):
         run_query = lambda: execute_sql(GROUP_SQL, catalog)  # noqa: E731
         run_query()  # warm the plan cache for both sides
-        with _env("REPRO_SQL_COMPILE", "0"):
+        with _env("REPRO_SQL_VECTOR", "0"):
             interpreted = _best_of(run_query, repeats=repeats)
-        compiled = _best_of(run_query, repeats=repeats)
-        case("native_group_aggregate", interpreted, compiled)
+        vectorized = _best_of(run_query, repeats=repeats)
+        case("native_group_aggregate", interpreted, vectorized)
 
-    # Vectorized engine vs the row-compiled baseline (REPRO_SQL_VECTOR=0):
-    # same parser and plan cache on both sides, so the ratio isolates the
-    # columnar kernels, plan rewrites, and hash join.
     if wanted("vector_filter_scan"):
         run_filter = lambda: execute_sql(FILTER_SQL, catalog)  # noqa: E731
         run_filter()  # warm plan + kernel caches (steady-state serving)
         with _env("REPRO_SQL_VECTOR", "0"):
-            row_compiled = _best_of(run_filter, repeats=repeats)
+            interpreted = _best_of(run_filter, repeats=repeats)
         vectorized = _best_of(run_filter, repeats=repeats)
-        case("vector_filter_scan", row_compiled, vectorized)
+        case("vector_filter_scan", interpreted, vectorized)
 
     if wanted("vector_group_aggregate"):
         run_group = lambda: execute_sql(GROUP_SQL, catalog)  # noqa: E731
         run_group()
         with _env("REPRO_SQL_VECTOR", "0"):
-            row_compiled = _best_of(run_group, repeats=repeats)
+            interpreted = _best_of(run_group, repeats=repeats)
         vectorized = _best_of(run_group, repeats=repeats)
-        case("vector_group_aggregate", row_compiled, vectorized)
+        case("vector_group_aggregate", interpreted, vectorized)
 
     if wanted("vector_hash_join"):
         join_catalog = _join_catalog()

@@ -32,12 +32,6 @@ from repro.sqlengine.ast_nodes import (
     Star,
     UnaryOp,
 )
-from repro.sqlengine.compiler import (
-    Layout,
-    compile_enabled,
-    compile_group,
-    compile_row,
-)
 from repro.sqlengine.executor import (
     NativeSQLEngine,
     execute_select,
@@ -62,10 +56,6 @@ __all__ = [
     "plan_cache_enabled",
     "PlanCache",
     "DEFAULT_PLAN_CACHE",
-    "Layout",
-    "compile_enabled",
-    "compile_row",
-    "compile_group",
     "tokenize",
     "Expression",
     "Literal",

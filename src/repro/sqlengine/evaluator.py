@@ -282,7 +282,7 @@ def _unary(expr: UnaryOp, context):
 
 
 def unary_value(op: str, value):
-    """Value-level unary kernel (shared with the expression compiler)."""
+    """Value-level unary kernel (shared with the vector kernels)."""
     if op == "NOT":
         if is_missing(value):
             return None
@@ -374,9 +374,10 @@ COMPARISONS = {
 def binary_values(op: str, left, right):
     """Value-level binary kernel for every non-logical operator.
 
-    Shared between the recursive interpreter and the expression compiler so
-    the two paths cannot drift.  AND/OR are *not* handled here — they
-    short-circuit, so both callers implement them structurally.
+    Shared between the recursive interpreter and the vector kernels so
+    the two tiers cannot drift.  AND/OR are *not* handled here — the
+    interpreter short-circuits them and the kernels combine eager masks,
+    so each caller implements them itself.
     """
     if op == "||":
         if is_missing(left) or is_missing(right):
@@ -479,7 +480,7 @@ def _cast(expr: Cast, context):
 
 
 def cast_value(value, target: str):
-    """Value-level CAST kernel (shared with the expression compiler)."""
+    """Value-level CAST kernel (shared with the vector kernels)."""
     if is_missing(value):
         return None
     if target == "TEXT":

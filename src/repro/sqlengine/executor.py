@@ -5,7 +5,7 @@ returns a new :class:`repro.table.DataFrame`.  The pipeline mirrors the
 logical order of SQL: FROM → WHERE → GROUP BY/aggregates → HAVING →
 select-list → DISTINCT → ORDER BY → LIMIT/OFFSET.
 
-Each stage has three implementations, tried fastest-first:
+Each stage has two implementations, tried fastest-first:
 
 1. **vectorized** — whole-column kernels (:mod:`repro.sqlengine.vector`)
    over statements rewritten by the planner
@@ -13,15 +13,14 @@ Each stage has three implementations, tried fastest-first:
    HAVING pushdown below GROUP BY, LIMIT short-circuit into the scan,
    hash equi-joins).  Only provably total expressions qualify; a stage
    that cannot be proven safe falls back wholesale to
-2. **row-compiled** — expressions lowered once per query to closures
-   over row tuples (:mod:`repro.sqlengine.compiler`), and
-3. the original per-row tree-walking **interpreter**.
+2. the per-row tree-walking **interpreter**
+   (:mod:`repro.sqlengine.evaluator`), the in-engine reference.
 
-``REPRO_SQL_VECTOR=0`` disables tier 1 (and all plan rewrites);
-``REPRO_SQL_COMPILE=0`` forces the interpreter everywhere.  All three
-must produce bit-identical results — values *and* errors — enforced by
-the seeded differential suite.  ``execute_sql`` also memoises parsing
-through :mod:`repro.sqlengine.plancache`.
+``REPRO_SQL_VECTOR=0`` runs the interpreter everywhere, with no plan
+rewrites.  Both tiers must produce bit-identical results — values *and*
+errors — enforced by the seeded differential suite; stdlib ``sqlite3``
+is the external oracle both are checked against.  ``execute_sql`` also
+memoises parsing through :mod:`repro.sqlengine.plancache`.
 """
 
 from __future__ import annotations
@@ -37,12 +36,6 @@ from repro.sqlengine.ast_nodes import (
     SelectItem,
     SelectStatement,
     Star,
-)
-from repro.sqlengine.compiler import (
-    Layout,
-    compile_enabled,
-    compile_group,
-    compile_row,
 )
 from repro.sqlengine.evaluator import (
     GroupContext,
@@ -86,7 +79,7 @@ __all__ = ["execute_select", "execute_sql", "NativeSQLEngine"]
 
 
 def _record_tier(stage: str, tier: str) -> None:
-    """Count which tier (vector|compiled|interpreted) ran ``stage``."""
+    """Count which tier (vector|interpreted) ran ``stage``."""
     GLOBAL_REGISTRY.counter(
         "sql.tier_dispatch",
         "SELECT stages executed, by stage and tier").inc(
@@ -94,7 +87,7 @@ def _record_tier(stage: str, tier: str) -> None:
 
 
 def _record_fallback(stage: str, reason: str) -> None:
-    """Count one all-or-nothing fallback to the next tier down."""
+    """Count one all-or-nothing fallback to the interpreter."""
     GLOBAL_REGISTRY.counter(
         "sql.tier_fallback",
         "stage fallbacks to a lower tier, by reason").inc(
@@ -110,8 +103,7 @@ def execute_select(stmt: SelectStatement,
                    tables: Mapping[str, DataFrame]) -> DataFrame:
     from repro.errors import TableError
     with span("sql_execute", joined=bool(stmt.joins),
-              compiled=compile_enabled(),
-              vectorized=compile_enabled() and vector_enabled()):
+              vectorized=vector_enabled()):
         try:
             return _execute_select(stmt, tables)
         except TableError as exc:
@@ -123,14 +115,13 @@ def execute_select(stmt: SelectStatement,
 def _execute_select(stmt: SelectStatement,
                     tables: Mapping[str, DataFrame]) -> DataFrame:
     joined = bool(stmt.joins)
-    compiled = compile_enabled()
-    vectorized = compiled and vector_enabled()
+    vectorized = vector_enabled()
 
     planned = None
     if vectorized:
         # Plan rewrites ride the vector flag: REPRO_SQL_VECTOR=0 is the
-        # untouched row-compiled engine, the perf baseline and second
-        # oracle.  plan_select memoises by (statement, schema signature).
+        # untouched interpreter, the perf baseline and in-engine oracle.
+        # plan_select memoises by (statement, schema signature).
         planned = plan_select(stmt, tables)
         if planned.rewrites:
             with span("sql_plan_rewrite",
@@ -156,23 +147,13 @@ def _execute_select(stmt: SelectStatement,
             if keep is None:
                 _record_fallback("where", "vector_unsupported")
         if keep is None:
-            if compiled:
-                _record_tier("where", "compiled")
-                with span("sql_compile", stage="where"):
-                    predicate = compile_row(
-                        stmt.where, Layout(frame, alias, joined=joined))
-                keep = [
-                    index for index, values in enumerate(frame.to_rows())
-                    if is_truthy(predicate(values))
-                ]
-            else:
-                _record_tier("where", "interpreted")
-                keep = [
-                    row.index for row in frame.iter_rows()
-                    if is_truthy(evaluate(stmt.where,
-                                          RowContext(row, alias,
-                                                     joined=joined)))
-                ]
+            _record_tier("where", "interpreted")
+            keep = [
+                row.index for row in frame.iter_rows()
+                if is_truthy(evaluate(stmt.where,
+                                      RowContext(row, alias,
+                                                 joined=joined)))
+            ]
         else:
             _record_tier("where", "vector")
         frame = frame.take(keep)
@@ -195,13 +176,6 @@ def _execute_select(stmt: SelectStatement,
                 _record_fallback("aggregate", "vector_unsupported")
             else:
                 _record_tier("aggregate", "vector")
-        if result is None and compiled:
-            result = _execute_aggregate_compiled(stmt, frame, alias,
-                                                 joined=joined)
-            if result is None:
-                _record_fallback("aggregate", "compile_unsupported")
-            else:
-                _record_tier("aggregate", "compiled")
         if result is None:
             _record_tier("aggregate", "interpreted")
             result = _execute_aggregate(stmt, frame, alias, joined=joined)
@@ -213,13 +187,6 @@ def _execute_select(stmt: SelectStatement,
                 _record_fallback("plain", "vector_unsupported")
             else:
                 _record_tier("plain", "vector")
-        if result is None and compiled:
-            result = _execute_plain_compiled(stmt, frame, alias,
-                                             joined=joined)
-            if result is None:
-                _record_fallback("plain", "compile_unsupported")
-            else:
-                _record_tier("plain", "compiled")
         if result is None:
             _record_tier("plain", "interpreted")
             result = _execute_plain(stmt, frame, alias, joined=joined)
@@ -307,49 +274,29 @@ def _materialize_joins(stmt: SelectStatement,
 
 
 def _apply_pushed(frame: DataFrame, conjuncts: list) -> DataFrame:
-    """Filter a source frame by pushed-down (planner-verified) conjuncts."""
+    """Filter a source frame by pushed-down (planner-verified) conjuncts.
+
+    The planner pushes only conjuncts it proved total against the bare
+    source frame, so each one always has a vector kernel.
+    """
     if not conjuncts:
         return frame
-    predicate = conjoin(conjuncts)
-    keep = _vector_where(frame, predicate, joined=False, scan_limit=None)
-    if keep is None:
-        # Pushed predicates are proven total, so this fallback should
-        # never fire; keep it anyway so a planner bug degrades to slow
-        # rather than wrong.
-        fn = compile_row(predicate, Layout(frame, None, joined=False))
-        keep = [index for index, values in enumerate(frame.to_rows())
-                if is_truthy(fn(values))]
-    return frame.take(keep)
+    return frame.take(_vector_where(frame, conjoin(conjuncts),
+                                    joined=False, scan_limit=None))
 
 
 def _join_frames(left: DataFrame, right: DataFrame,
                  join: JoinClause) -> DataFrame:
     columns = left.columns + right.columns
+    if vector_enabled():
+        hashed = _hash_equi_join(left, right, join, columns)
+        if hashed is not None:
+            _record_tier("join", "vector")
+            return hashed
+        _record_fallback("join", "hash_join_bailed")
+    _record_tier("join", "interpreted")
     rows: list[tuple] = []
     right_rows = right.to_rows()
-    if compile_enabled():
-        if vector_enabled():
-            hashed = _hash_equi_join(left, right, join, columns)
-            if hashed is not None:
-                _record_tier("join", "vector")
-                return hashed
-            _record_fallback("join", "hash_join_bailed")
-        _record_tier("join", "compiled")
-        # Compile the ON predicate once against the combined column shape
-        # and probe with plain tuples — no per-pair frame construction.
-        shape = DataFrame.empty(columns)
-        predicate = compile_row(join.on, Layout(shape, None, joined=True))
-        for left_values in left.to_rows():
-            matched = False
-            for right_values in right_rows:
-                candidate = left_values + right_values
-                if is_truthy(predicate(candidate)):
-                    matched = True
-                    rows.append(candidate)
-            if not matched and join.kind == "left":
-                rows.append(left_values + (None,) * right.num_columns)
-        return DataFrame.from_rows(rows, columns)
-    _record_tier("join", "interpreted")
     for left_values in left.to_rows():
         matched = False
         for right_values in right_rows:
@@ -402,13 +349,13 @@ def _hash_equi_join(left: DataFrame, right: DataFrame, join: JoinClause,
             and isinstance(on.left, ColumnRef)
             and isinstance(on.right, ColumnRef)):
         return None
-    layout = Layout(DataFrame.empty(columns), None, joined=True)
+    shape = DataFrame.empty(columns)
     try:
-        first = layout.index_of(on.left)
-        second = layout.index_of(on.right)
+        first = columns.index(resolve_joined_ref(shape, on.left))
+        second = columns.index(resolve_joined_ref(shape, on.right))
     except SQLRuntimeError:
-        # Unresolvable/ambiguous ref: let the generic compiled path
-        # raise the identical error.
+        # Unresolvable/ambiguous ref: let the nested loop raise the
+        # interpreter's error.
         return None
     left_index, right_index = min(first, second), max(first, second)
     if not (left_index < left.num_columns <= right_index):
@@ -464,39 +411,13 @@ def _alias_positions(items: list[SelectItem]) -> dict[str, int]:
     }
 
 
-def _compile_order_specs(order_by, items, layout: Layout, *, group: bool):
-    """Lower ORDER BY items to (output position | compiled fn, desc) pairs.
-
-    Select-list aliases resolve against the computed output row (position),
-    everything else compiles against the source layout — the same
-    resolution order as the interpreter's ``_order_key``.
-    """
-    alias_index = _alias_positions(items)
-    lower = compile_group if group else compile_row
-    specs = []
-    for order in order_by:
-        expr = order.expression
-        if (isinstance(expr, ColumnRef) and expr.table is None
-                and expr.name in alias_index):
-            specs.append((alias_index[expr.name], None, order.descending))
-        else:
-            specs.append((None, lower(expr, layout), order.descending))
-    return specs
-
-
-def _order_key_compiled(specs, ctx, out_row) -> tuple:
-    return tuple(
-        _wrap_order_value(out_row[position] if fn is None else fn(ctx),
-                          descending)
-        for position, fn, descending in specs
-    )
-
-
 def _vector_order_specs(order_by, items, shape: FrameShape, *, group: bool):
-    """Vector analogue of ``_compile_order_specs``; None = fall back.
+    """Lower ORDER BY items to (output position | kernel, desc) pairs.
 
-    Alias references resolve to output positions, everything else must
-    compile to a whole-column (or group) kernel.
+    Select-list aliases resolve against the computed output row
+    (position), everything else must compile to a whole-column (or
+    group) kernel — the same resolution order as the interpreter's
+    ``_order_key``.  None = fall back.
     """
     alias_index = _alias_positions(items)
     lower = compile_group_vector if group else compile_vector
@@ -521,8 +442,8 @@ def _execute_plain_vector(stmt: SelectStatement, frame: DataFrame,
 
     All-or-nothing per stage: every select item and every non-alias
     ORDER BY expression must compile to a total whole-column kernel,
-    otherwise the row-compiled path runs instead (same results, and it
-    raises errors in the exact row order the interpreter would).
+    otherwise the interpreter runs the stage instead (same results, and
+    errors raised in its own row order).
     """
     items = _expand_star(stmt, frame, joined=joined)
     shape = FrameShape(frame, joined=joined)
@@ -562,8 +483,8 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
                               joined: bool = False) -> DataFrame | None:
     """Single-pass vectorized GROUP BY/aggregates; None = fall back.
 
-    Grouping buckets row *indexes* (first-seen order, hash keyed the
-    same way as the compiled path), aggregates reduce gathered column
+    Grouping buckets row *indexes* (first-seen order, keyed like
+    :func:`repro.table.ops.group_by`), aggregates reduce gathered column
     slices, and HAVING/items/ORDER BY all run as two-phase group
     kernels.  Any stage that fails to compile aborts the whole path.
     """
@@ -615,8 +536,8 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
         key_columns = []
         for planned_key in key_plan:
             if isinstance(planned_key, ColumnRef):
-                # Resolve exactly as the compiled path does, so a bad
-                # key raises the identical error instead of falling back.
+                # Resolve exactly as the interpreter does, so a bad key
+                # raises the identical error instead of falling back.
                 if joined:
                     name = resolve_joined_ref(frame, planned_key)
                 else:
@@ -681,32 +602,6 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
     return DataFrame.from_rows(rows, names)
 
 
-def _execute_plain_compiled(stmt: SelectStatement, frame: DataFrame,
-                            alias: str | None, *,
-                            joined: bool = False) -> DataFrame:
-    items = _expand_star(stmt, frame, joined=joined)
-    names = _output_names(items)
-    layout = Layout(frame, alias, joined=joined)
-    with span("sql_compile", stage="select"):
-        item_fns = [compile_row(item.expression, layout)
-                    for item in items]
-        order_specs = None
-        if stmt.order_by:
-            order_specs = _compile_order_specs(stmt.order_by, items,
-                                               layout, group=False)
-    rows = []
-    order_keys = []
-    for values in frame.to_rows():
-        out = tuple(fn(values) for fn in item_fns)
-        rows.append(out)
-        if order_specs is not None:
-            order_keys.append(_order_key_compiled(order_specs, values, out))
-    if order_specs is not None:
-        indexes = sorted(range(len(rows)), key=order_keys.__getitem__)
-        rows = [rows[i] for i in indexes]
-    return DataFrame.from_rows(rows, names)
-
-
 def _execute_plain(stmt: SelectStatement, frame: DataFrame,
                    alias: str | None, *, joined: bool = False) -> DataFrame:
     items = _expand_star(stmt, frame, joined=joined)
@@ -722,81 +617,6 @@ def _execute_plain(stmt: SelectStatement, frame: DataFrame,
                                          rows[-1], items))
     if stmt.order_by:
         indexes = sorted(range(len(rows)), key=lambda i: order_keys[i])
-        rows = [rows[i] for i in indexes]
-    return DataFrame.from_rows(rows, names)
-
-
-def _execute_aggregate_compiled(stmt: SelectStatement, frame: DataFrame,
-                                alias: str | None, *,
-                                joined: bool = False) -> DataFrame:
-    items = _expand_star(stmt, frame, joined=joined)
-    names = _output_names(items)
-    alias_map = {
-        item.alias: item.expression for item in items if item.alias}
-    layout = Layout(frame, alias, joined=joined)
-    row_tuples = frame.to_rows()
-
-    # Hash-based grouping: one pass over the rows, buckets in first-seen
-    # order, groups held as lists of source row tuples (no sub-frames).
-    groups: list[list[tuple]] = []
-    if stmt.group_by:
-        key_columns = []
-        for expr in stmt.group_by:
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(expr, ColumnRef) and expr.table is None
-                    and expr.name not in frame
-                    and expr.name in alias_map):
-                expr = alias_map[expr.name]
-            if isinstance(expr, ColumnRef):
-                if joined:
-                    name = resolve_joined_ref(frame, expr)
-                else:
-                    name = frame.column(expr.name).name
-                key_columns.append(frame.column(name).values)
-            else:
-                fn = compile_row(expr, layout)
-                key_columns.append([fn(values) for values in row_tuples])
-        # Hash every key column in one pass; single-key queries use the
-        # per-value key directly (no wrapping tuple per row).
-        hashed = [[_hashable(value) for value in column]
-                  for column in key_columns]
-        keys = hashed[0] if len(hashed) == 1 else list(zip(*hashed))
-        buckets: dict = {}
-        for group_key, values in zip(keys, row_tuples):
-            bucket = buckets.get(group_key)
-            if bucket is None:
-                buckets[group_key] = bucket = []
-                groups.append(bucket)
-            bucket.append(values)
-    else:
-        if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names, frame, alias)
-        groups.append(row_tuples)
-
-    having_fn = None
-    with span("sql_compile", stage="aggregate"):
-        if stmt.having is not None:
-            having_fn = compile_group(
-                _resolve_aliases(stmt.having, alias_map), layout)
-        item_fns = [compile_group(item.expression, layout)
-                    for item in items]
-
-    rows = []
-    kept_groups = []
-    for group_rows in groups:
-        if having_fn is not None and not is_truthy(having_fn(group_rows)):
-            continue
-        rows.append(tuple(fn(group_rows) for fn in item_fns))
-        kept_groups.append(group_rows)
-
-    if stmt.order_by:
-        order_specs = _compile_order_specs(stmt.order_by, items, layout,
-                                           group=True)
-        keys = [
-            _order_key_compiled(order_specs, group_rows, out)
-            for group_rows, out in zip(kept_groups, rows)
-        ]
-        indexes = sorted(range(len(rows)), key=keys.__getitem__)
         rows = [rows[i] for i in indexes]
     return DataFrame.from_rows(rows, names)
 

@@ -18,7 +18,7 @@ Every rewrite changes *when* (or whether) expressions are evaluated, so
 each is gated on :func:`is_total`: a conservative, dtype-aware proof
 that an expression can never raise and resolves statically.  A rewrite
 that cannot be proven safe simply does not fire — the unrewritten plan
-runs and the interpreter oracle (``REPRO_SQL_COMPILE=0``) stays
+runs and the interpreter oracle (``REPRO_SQL_VECTOR=0``) stays
 bit-identical, errors included.  The same analysis is what licenses the
 eager column-at-a-time evaluation in :mod:`repro.sqlengine.vector`
 (eager kernels evaluate expressions on rows the row-at-a-time engine
@@ -92,8 +92,8 @@ def resolve_table(name: str, tables: Mapping[str, DataFrame]) -> DataFrame:
 class FrameShape:
     """Static resolution + dtype view of one frame (or join shape).
 
-    Mirrors the runtime resolution rules (``Layout`` for indexes, the
-    joined suffix scheme) but never raises: :meth:`resolve` returns
+    Mirrors the interpreter's resolution rules (exact name, then
+    case-insensitive; the joined suffix scheme) but never raises: :meth:`resolve` returns
     ``None`` on a miss or ambiguity, which the analysis treats as
     "cannot prove safe".
     """

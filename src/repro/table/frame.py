@@ -353,7 +353,7 @@ class DataFrame:
     def lowered_names(self) -> dict[str, str]:
         """Cached ``lowercase -> first matching column name`` map.
 
-        Both the SQL interpreter and the expression compiler resolve
+        Both the SQL interpreter and the vector kernels resolve
         identifiers through this map instead of re-lowercasing every column
         on every row.
         """
@@ -404,7 +404,7 @@ class DataFrame:
         return self._digest
 
     def kernel_cache(self) -> dict:
-        """Per-frame cache of vectorized kernel results and numpy mirrors.
+        """Per-frame cache of vectorized kernel results.
 
         The SQL engine's column kernels (:mod:`repro.sqlengine.vector`)
         store computed whole-column results here keyed by expression

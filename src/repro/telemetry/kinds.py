@@ -30,7 +30,6 @@ SPAN_KINDS = frozenset({
     # Executors and the native SQL engine.
     "sql_execute",        # one SELECT through either SQL backend
     "sql_parse",          # lexing + parsing one statement
-    "sql_compile",        # lowering expressions to closures
     "sql_plan_rewrite",   # plan-level rewrites applied to one statement
     "python_exec",        # one sandboxed Python execution
 })

@@ -1,18 +1,17 @@
-"""Randomized differential test: vectorized vs compiled vs interpreted.
+"""Randomized differential test: vectorized vs interpreted.
 
 A seeded query generator builds hundreds of SELECTs over
 :mod:`repro.datasets.tablegen` frames — filters, grouped aggregates
 (single- and multi-key), HAVING (including pushable key conjuncts),
 ORDER BY, LIMIT/OFFSET, scalar functions, CASE, self-joins, inner and
 LEFT joins against a second table, and deliberately broken references —
-and asserts all three execution tiers agree *exactly*: same columns,
-same rows, and for failing queries the same error class and message.
+and asserts both execution tiers agree *exactly*: same columns, same
+rows, and for failing queries the same error class and message.
 
-The three tiers:
+The two tiers:
 
 * default            — vectorized kernels + plan rewrites
-* REPRO_SQL_VECTOR=0 — the row-compiled engine (perf baseline)
-* REPRO_SQL_COMPILE=0 — the tree-walking interpreter (ground truth)
+* REPRO_SQL_VECTOR=0 — the tree-walking interpreter (ground truth)
 
 Each frame also runs as a NULL-heavy variant (~30% of cells nulled) so
 NULL propagation through masks, join keys, and group keys is exercised
@@ -31,11 +30,10 @@ from repro.table import DataFrame
 QUERIES_PER_FRAME = 80
 FRAME_SEEDS = (101, 202, 303, 404)
 
-#: Env-var overlays for the three execution tiers.
+#: Env-var overlays for the two execution tiers.
 MODES = (
     ("vector", {}),
-    ("compiled", {"REPRO_SQL_VECTOR": "0"}),
-    ("interpreted", {"REPRO_SQL_COMPILE": "0"}),
+    ("interpreted", {"REPRO_SQL_VECTOR": "0"}),
 )
 
 
@@ -209,8 +207,7 @@ def _null_heavy(frame: DataFrame, seed: int) -> DataFrame:
 
 
 def _outcome(sql: str, catalog, env: dict) -> tuple:
-    saved = {key: os.environ.pop(key, None)
-             for key in ("REPRO_SQL_VECTOR", "REPRO_SQL_COMPILE")}
+    saved = os.environ.pop("REPRO_SQL_VECTOR", None)
     os.environ.update(env)
     try:
         result = execute_sql(sql, catalog)
@@ -218,16 +215,15 @@ def _outcome(sql: str, catalog, env: dict) -> tuple:
     except Exception as exc:  # noqa: BLE001 - error parity is the point
         return ("error", type(exc).__name__, str(exc))
     finally:
-        for key, value in saved.items():
-            os.environ.pop(key, None)
-            if value is not None:
-                os.environ[key] = value
+        os.environ.pop("REPRO_SQL_VECTOR", None)
+        if saved is not None:
+            os.environ["REPRO_SQL_VECTOR"] = saved
 
 
 @pytest.mark.parametrize("nulled", [False, True],
                          ids=["dense", "null_heavy"])
 @pytest.mark.parametrize("frame_seed", FRAME_SEEDS)
-def test_three_tiers_agree(frame_seed, nulled):
+def test_two_tiers_agree(frame_seed, nulled):
     frame = generate_table(random.Random(frame_seed), num_rows=14).frame
     if nulled:
         frame = _null_heavy(frame, frame_seed + 11)

@@ -1,10 +1,10 @@
 """Oracle suite for NULL and type-class semantics.
 
-Every test runs on both engine paths — compiled closures and the
+Every test runs on both engine tiers — the vector kernels and the
 recursive interpreter — via the ``engine`` fixture, so this file is the
-explicit, per-case oracle the expression compiler has to match (the
-randomized differential test covers breadth; this covers the sharp
-edges with readable failures).
+explicit, per-case oracle the vector tier has to match (the randomized
+differential test covers breadth; this covers the sharp edges with
+readable failures).
 """
 
 import pytest
@@ -12,12 +12,13 @@ import pytest
 from repro.errors import SQLRuntimeError
 from repro.sqlengine import execute_sql
 from repro.table import DataFrame
+from repro.telemetry.metrics import GLOBAL_REGISTRY
 
 
-@pytest.fixture(params=["compiled", "interpreted"])
+@pytest.fixture(params=["vector", "interpreted"])
 def engine(request, monkeypatch):
     if request.param == "interpreted":
-        monkeypatch.setenv("REPRO_SQL_COMPILE", "0")
+        monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
     return request.param
 
 
@@ -133,11 +134,48 @@ class TestJoinResolution:
             _rows("SELECT a.nope FROM T0 a JOIN T0 b ON a.name = b.name")
 
 
+def _served_by(engine: str) -> None:
+    """Every stage run so far in this test ran on ``engine``'s tier."""
+    counts = GLOBAL_REGISTRY.counter("sql.tier_dispatch").values()
+    assert {dict(key)["tier"] for key in counts} == {engine}
+
+
+class TestNameResolution:
+    def test_case_insensitive_names(self, engine):
+        rows = _rows("SELECT NAME, Score FROM T0 WHERE SCORE > 15")
+        assert rows == [("c", 30), ("e", 20)]
+        _served_by(engine)
+
+
+class TestAggregates:
+    def test_count_distinct(self, engine):
+        assert _rows("SELECT COUNT(DISTINCT team) FROM T0") == [(2,)]
+        _served_by(engine)
+
+    def test_group_concat(self, engine):
+        rows = _rows("SELECT team, GROUP_CONCAT(name) FROM T0 "
+                     "GROUP BY team ORDER BY team")
+        assert rows == [("blue", "b,d"), ("red", "a,c,e")]
+        _served_by(engine)
+
+    def test_bare_column_reads_first_row(self, engine):
+        rows = _rows("SELECT team, name, COUNT(*) FROM T0 "
+                     "GROUP BY team ORDER BY team")
+        assert rows == [("blue", "b", 2), ("red", "a", 3)]
+        _served_by(engine)
+
+    def test_aggregate_over_expression(self, engine):
+        rows = _rows("SELECT team, SUM(score * 2) FROM T0 "
+                     "GROUP BY team ORDER BY team")
+        assert rows == [("blue", None), ("red", 120)]
+        _served_by(engine)
+
+
 class TestErrorTiming:
     def test_missing_column_with_no_rows_is_silent(self, engine):
         # Resolution failures must surface only when a row is evaluated
-        # (the interpreter resolves per row; the compiler defers via a
-        # raiser closure) — so an empty input stays silent on both paths.
+        # (the interpreter resolves per row, and the vector tier falls
+        # back to it) — so an empty input stays silent on both paths.
         result = execute_sql("SELECT nope FROM T0 WHERE name = 'zzz'",
                              {"T0": _frame()})
         assert result.num_rows == 0

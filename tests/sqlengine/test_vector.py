@@ -187,44 +187,21 @@ class TestCaching:
         assert execute_sql(sql, catalog).to_rows() == [(50,), (60,)]
 
 
-class TestNumpy:
-    def test_numpy_matches_plain_kernels(self, monkeypatch):
-        pytest.importorskip("numpy")
-        frame = DataFrame({"v": list(range(50))}, name="T0")
-        catalog = {"T0": frame}
-        sql = "SELECT v FROM T0 WHERE v >= 25"
-        monkeypatch.delenv("REPRO_SQL_NUMPY", raising=False)
-        plain = execute_sql(sql, catalog).to_rows()
-        numpy_frame = DataFrame({"v": list(range(50))}, name="T0")
-        monkeypatch.setenv("REPRO_SQL_NUMPY", "1")
-        accelerated = execute_sql(sql, {"T0": numpy_frame}).to_rows()
-        assert accelerated == plain
-
-    def test_numpy_rejects_columns_with_nulls(self, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_SQL_NUMPY", "1")
-        frame = DataFrame({"v": [1, None, 3]}, name="T0")
-        ctx = VectorContext(frame)
-        assert ctx.numpy_column("v") is None
-
-
 class TestGroupBySemantics:
     """NULL and mixed-dtype group keys on every execution tier."""
 
-    MODES = ({}, {"REPRO_SQL_VECTOR": "0"}, {"REPRO_SQL_COMPILE": "0"})
+    MODES = ({}, {"REPRO_SQL_VECTOR": "0"})
 
     def _run_modes(self, sql, catalog, monkeypatch):
         outcomes = []
         for env in self.MODES:
-            for key in ("REPRO_SQL_VECTOR", "REPRO_SQL_COMPILE"):
-                monkeypatch.delenv(key, raising=False)
+            monkeypatch.delenv("REPRO_SQL_VECTOR", raising=False)
             for key, value in env.items():
                 monkeypatch.setenv(key, value)
             result = execute_sql(sql, catalog)
             outcomes.append((result.columns, result.to_rows()))
-        for key in ("REPRO_SQL_VECTOR", "REPRO_SQL_COMPILE"):
-            monkeypatch.delenv(key, raising=False)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        monkeypatch.delenv("REPRO_SQL_VECTOR", raising=False)
+        assert outcomes[0] == outcomes[1]
         return outcomes[0]
 
     def test_null_group_keys_form_one_group(self, monkeypatch):

@@ -54,13 +54,11 @@ def test_lint_detects_row_engine_dispatch(tmp_path):
     lint = load_lint()
     rogue = tmp_path / "rogue.py"
     rogue.write_text(
-        "def fallback(expr, shape):\n"
-        "    return compile_row(expr, layout)\n"
-        "def fallback2(expr, context):\n"
+        "def fallback(expr, context):\n"
         "    return evaluate(expr, context)\n")
     violations = lint.scan_file(rogue)
-    assert len(violations) == 2
-    assert all("the executor owns" in v for v in violations)
+    assert len(violations) == 1
+    assert "the executor owns" in violations[0]
 
 
 def test_docstrings_comments_and_suppression_are_ignored(tmp_path):

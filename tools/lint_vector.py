@@ -3,16 +3,16 @@
 ``src/repro/sqlengine/vector.py`` exists to execute column-at-a-time;
 its whole speedup story collapses if someone "fixes" a kernel by
 iterating rows through the interpreter (the result stays bit-identical
-— the differential suite would never notice — but the perf gate's 3x
-floors quietly erode).  This lint greps the module for the row-oriented
+— the differential suite would never notice — but the perf gate's
+speedup floors quietly erode).  This lint greps the module for the row-oriented
 idioms that would smuggle per-row work back in:
 
 * ``for row in`` / ``.iter_rows(`` / ``.to_rows(`` — row iteration;
 * ``RowContext(`` — the row-at-a-time evaluator context;
 * ``.cell(`` — single-cell access inside what should be a column pass;
-* ``compile_row(`` / ``evaluate(`` — dispatching a row-engine tier from
-  inside the vector tier (fallback is the *executor's* job, so each
-  stage degrades all-or-nothing instead of row-by-row).
+* ``evaluate(`` — dispatching the interpreter from inside the vector
+  tier (fallback is the *executor's* job, so each stage degrades
+  all-or-nothing instead of row-by-row).
 
 Heuristics are line-based and deliberately simple, like the repo's
 other lints, but docstring prose is skipped (the module documents the
@@ -44,9 +44,6 @@ _ROW_PATTERNS: list[tuple[re.Pattern, str]] = [
      "row-at-a-time evaluator context inside the vector tier"),
     (re.compile(r"\.cell\("),
      "single-cell access (read Column.values once, not cell-by-cell)"),
-    (re.compile(r"\bcompile_row\("),
-     "row-engine dispatch inside the vector tier (the executor owns "
-     "fallback, all-or-nothing per stage)"),
     (re.compile(r"(?<!\.)\bevaluate\("),
      "interpreter dispatch inside the vector tier (the executor owns "
      "fallback, all-or-nothing per stage)"),

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Run the performance benchmark suite and regression gate.
 
-Times the compiled SQL path against the interpreter, the prompt-encoding
-cache against cold encoding, and the plan cache against re-parsing;
+Times the vectorized SQL tier against the interpreter, the
+prompt-encoding cache against cold encoding, and the plan cache against
+re-parsing;
 enforces the speedup floors; writes/compares the checked-in baseline at
 ``results/BENCH_perf_substrates.json``; exits non-zero on any failure.
 

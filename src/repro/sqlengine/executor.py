@@ -721,11 +721,13 @@ def _eval_aggregate_empty(item: SelectItem, frame: DataFrame):
 
 
 def _wrap_order_value(value, descending: bool) -> tuple:
-    """One ORDER BY key part: NULLs last in both directions (SQLite)."""
+    """One ORDER BY key part: NULL is the smallest value (SQLite), so it
+    sorts first ascending and last descending."""
     base = _sort_key_for([value])(value)
+    missing = is_missing_value(value)
     if descending:
-        base = _Reversed(base)
-    return (is_missing_value(value), base)
+        return (missing, _Reversed(base))
+    return (not missing, base)
 
 
 def _order_key(order_by: tuple[OrderItem, ...], context, row_values,

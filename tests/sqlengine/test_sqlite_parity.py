@@ -59,6 +59,27 @@ def test_backend_parity(catalog, sql):
         f"{sqlite.to_rows()}"
 
 
+# --- NULL sort order -----------------------------------------------------------
+
+NULL_ORDER_QUERIES = [
+    "SELECT x FROM T0 ORDER BY x",
+    "SELECT x FROM T0 ORDER BY x DESC",
+    "SELECT k, SUM(x) AS s FROM T0 GROUP BY k ORDER BY s, k",
+    "SELECT k, SUM(x) AS s FROM T0 GROUP BY k ORDER BY s DESC, k",
+]
+
+
+@pytest.mark.parametrize("sql", NULL_ORDER_QUERIES)
+@pytest.mark.parametrize("vector", ["1", "0"], ids=["vector", "interpreted"])
+def test_null_sorts_as_the_smallest_value(sql, vector, monkeypatch):
+    """SQLite orders NULL before every value: first ASC, last DESC."""
+    monkeypatch.setenv("REPRO_SQL_VECTOR", vector)
+    catalog = {"T0": DataFrame({"x": [3, None, 1, None],
+                                "k": ["c", "n", "a", "n"]}, name="T0")}
+    native = execute_sql(sql, catalog).to_rows()
+    assert native == run_sqlite_query(sql, catalog).to_rows()
+
+
 # --- property-based parity over generated plan steps -------------------------
 
 names = st.sampled_from(["Rank", "Points"])

@@ -213,8 +213,8 @@ class TestGroupBySemantics:
             "SELECT k, COUNT(*) AS n, SUM(v) FROM T0 "
             "GROUP BY k ORDER BY n DESC, k",
             {"T0": frame}, monkeypatch)
-        # NULLs sort last within the n=2 tie (engine convention).
-        assert rows == [("a", 2, 4), (None, 2, 6), ("b", 1, 5)]
+        # NULL sorts first within the n=2 tie, as in SQLite.
+        assert rows == [(None, 2, 6), ("a", 2, 4), ("b", 1, 5)]
 
     def test_mixed_dtype_keys(self, monkeypatch):
         frame = DataFrame({

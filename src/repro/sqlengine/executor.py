@@ -16,6 +16,9 @@ Each stage has two implementations, tried fastest-first:
 2. the per-row tree-walking **interpreter**
    (:mod:`repro.sqlengine.evaluator`), the in-engine reference.
 
+Before any stage, :func:`~repro.sqlengine.planner.plan_select` checks
+the statement against the schema as SQLite does when it prepares one,
+so both tiers fail a bad name on an empty table as on a full one.
 ``REPRO_SQL_VECTOR=0`` runs the interpreter everywhere, with no plan
 rewrites.  Both tiers must produce bit-identical results — values *and*
 errors — enforced by the seeded differential suite; stdlib ``sqlite3``
@@ -31,18 +34,17 @@ from repro.errors import SQLRuntimeError
 from repro.sqlengine.ast_nodes import (
     BinaryOp,
     ColumnRef,
+    FunctionCall,
     JoinClause,
     OrderItem,
     SelectItem,
     SelectStatement,
-    Star,
 )
 from repro.sqlengine.evaluator import (
     GroupContext,
     RowContext,
     _to_number,
     evaluate,
-    expression_uses_aggregate,
     is_truthy,
     resolve_joined_name,
     resolve_joined_ref,
@@ -51,6 +53,8 @@ from repro.sqlengine.plancache import parse_select_cached
 from repro.sqlengine.planner import (
     FrameShape,
     conjoin,
+    expand_star as _expand_star,
+    is_aggregate_query,
     plan_select,
     resolve_aliases as _resolve_aliases,
     resolve_table as _resolve_table,
@@ -117,28 +121,25 @@ def _execute_select(stmt: SelectStatement,
     joined = bool(stmt.joins)
     vectorized = vector_enabled()
 
-    planned = None
-    if vectorized:
-        # Plan rewrites ride the vector flag: REPRO_SQL_VECTOR=0 is the
-        # untouched interpreter, the perf baseline and in-engine oracle.
-        # plan_select memoises by (statement, schema signature).
-        planned = plan_select(stmt, tables)
-        if planned.rewrites:
-            with span("sql_plan_rewrite",
-                      rewrites=",".join(planned.rewrites)):
-                stmt = planned.stmt
-        else:
+    # plan_select memoises by (statement, schema signature).  Plan
+    # rewrites ride the vector flag: REPRO_SQL_VECTOR=0 is the untouched
+    # interpreter, the perf baseline and in-engine oracle.
+    planned = plan_select(stmt, tables, rewrite=vectorized)
+    if planned.error is not None:
+        raise SQLRuntimeError(planned.error)
+    if planned.rewrites:
+        with span("sql_plan_rewrite",
+                  rewrites=",".join(planned.rewrites)):
             stmt = planned.stmt
 
     if joined:
-        frame = _materialize_joins(stmt, tables,
-                                   planned.pushed if planned else ())
+        frame = _materialize_joins(stmt, tables, planned.pushed)
         alias = None
     else:
         frame = _resolve_table(stmt.table, tables)
         alias = stmt.table_alias or stmt.table
 
-    scan_limit = planned.scan_limit if planned else None
+    scan_limit = planned.scan_limit
     if stmt.where is not None:
         keep = None
         if vectorized:
@@ -160,15 +161,8 @@ def _execute_select(stmt: SelectStatement,
     elif scan_limit is not None:
         frame = frame.take(range(min(scan_limit, frame.num_rows)))
 
-    is_aggregate_query = bool(stmt.group_by) or any(
-        expression_uses_aggregate(item.expression)
-        for item in stmt.items
-        if not isinstance(item.expression, Star)
-    ) or (stmt.having is not None
-          and expression_uses_aggregate(stmt.having))
-
     result = None
-    if is_aggregate_query:
+    if is_aggregate_query(stmt):
         if vectorized:
             result = _execute_aggregate_vector(stmt, frame, alias,
                                                joined=joined)
@@ -388,22 +382,6 @@ def _output_names(items: list[SelectItem]) -> list[str]:
     return dedupe_column_names([item.output_name for item in items])
 
 
-def _expand_star(stmt: SelectStatement, frame: DataFrame, *,
-                 joined: bool = False) -> list[SelectItem]:
-    items: list[SelectItem] = []
-    for item in stmt.items:
-        if isinstance(item.expression, Star):
-            for name in frame.columns:
-                # Joined frames carry alias-prefixed columns; the output
-                # keeps the bare name (deduped later if ambiguous).
-                bare = name.split(".", 1)[1] if joined and "." in name \
-                    else None
-                items.append(SelectItem(ColumnRef(name), alias=bare))
-        else:
-            items.append(item)
-    return items
-
-
 def _alias_positions(items: list[SelectItem]) -> dict[str, int]:
     return {
         item.alias: position
@@ -572,7 +550,7 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
                 hashed[0] if len(hashed) == 1 else list(zip(*hashed)))
     else:
         if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names, frame, alias)
+            return _aggregate_over_empty(items, names)
         groups.append(list(range(frame.num_rows)))
 
     having_pg = having_fn(ctx) if having_fn is not None else None
@@ -665,7 +643,7 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
         # references then yield NULL; we return an empty result for an empty
         # input unless every item is an aggregate.
         if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names, frame, alias)
+            return _aggregate_over_empty(items, names)
         groups.append(frame)
 
     having = stmt.having
@@ -693,31 +671,13 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
     return DataFrame.from_rows(rows, names)
 
 
-def _aggregate_over_empty(items, names, frame: DataFrame,
-                          alias: str) -> DataFrame:
-    values = []
-    for item in items:
-        if expression_uses_aggregate(item.expression):
-            # COUNT over nothing is 0; SUM/AVG/MIN/MAX over nothing is NULL.
-            empty_group = GroupContext.__new__(GroupContext)
-            empty_group.group = frame
-            empty_group.table_alias = alias
-            empty_group._first = None
-            try:
-                values.append(_eval_aggregate_empty(item, frame))
-            except SQLRuntimeError:
-                values.append(None)
-        else:
-            values.append(None)
-    return DataFrame.from_rows([tuple(values)], names)
-
-
-def _eval_aggregate_empty(item: SelectItem, frame: DataFrame):
-    from repro.sqlengine.ast_nodes import FunctionCall
-    expr = item.expression
-    if isinstance(expr, FunctionCall) and expr.name.lower() == "count":
-        return 0
-    return None
+def _aggregate_over_empty(items, names) -> DataFrame:
+    """The one row an aggregate query without GROUP BY returns over no
+    rows: COUNT is 0, everything else NULL (bare columns included)."""
+    return DataFrame.from_rows([tuple(
+        0 if isinstance(item.expression, FunctionCall)
+        and item.expression.name.lower() == "count" else None
+        for item in items)], names)
 
 
 def _wrap_order_value(value, descending: bool) -> tuple:

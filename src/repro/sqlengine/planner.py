@@ -25,6 +25,11 @@ eager column-at-a-time evaluation in :mod:`repro.sqlengine.vector`
 would short-circuit past, which is only sound if those expressions
 cannot raise).
 
+Before any rewrite, :func:`plan_select` checks the statement against the
+schema the way SQLite does when it prepares one: an unknown column or
+function, a wrong argument count or a misplaced aggregate fails the
+query whether its tables hold rows or not.  Both tiers run this check.
+
 Planned statements are memoised through the same LRU machinery as the
 parse cache (see :data:`repro.sqlengine.plancache.DEFAULT_REWRITE_CACHE`),
 keyed by the parsed statement *and* the catalog schema signature —
@@ -51,13 +56,18 @@ from repro.sqlengine.ast_nodes import (
     IsNull,
     LikeOp,
     Literal,
+    SelectItem,
     SelectStatement,
     Star,
     UnaryOp,
 )
-from repro.sqlengine.evaluator import resolve_joined_ref
+from repro.sqlengine.evaluator import (
+    expression_uses_aggregate,
+    resolve_joined_ref,
+)
 from repro.sqlengine.functions import (
     NUMERIC_SAFE_FUNCTIONS,
+    SCALAR_FUNCTIONS,
     TOTAL_TEXT_FUNCTIONS,
     is_aggregate_name,
 )
@@ -68,6 +78,8 @@ __all__ = [
     "FrameShape",
     "PlannedSelect",
     "plan_select",
+    "expand_star",
+    "is_aggregate_query",
     "is_total",
     "numeric_kind",
     "split_conjuncts",
@@ -428,57 +440,41 @@ class PlannedSelect:
     is the FROM table, position ``i`` is ``stmt.joins[i]``'s table.  The
     predicates are rewritten against *source-frame* column names (the
     alias prefix stripped), ready to evaluate before prefixing.
+    ``error`` is the message the statement fails with against this
+    schema before any row is read, or None.
     """
 
     stmt: SelectStatement
     pushed: tuple[tuple[int, Expression], ...] = ()
     scan_limit: int | None = None
     rewrites: tuple[str, ...] = ()
+    error: str | None = None
 
 
-def _expression_uses_aggregate(expr: Expression) -> bool:
-    from repro.sqlengine.evaluator import expression_uses_aggregate
-    return expression_uses_aggregate(expr)
+def _children(node: Expression) -> tuple[Expression, ...]:
+    """``node``'s operands in the interpreter's evaluation order."""
+    if isinstance(node, (UnaryOp, IsNull, Cast)):
+        return (node.operand,)
+    if isinstance(node, BinaryOp):
+        return (node.left, node.right)
+    if isinstance(node, FunctionCall):
+        return node.args
+    if isinstance(node, InList):
+        return (node.operand, *node.items)
+    if isinstance(node, Between):
+        return (node.operand, node.low, node.high)
+    if isinstance(node, LikeOp):
+        return (node.operand, node.pattern)
+    if isinstance(node, CaseWhen):
+        parts = tuple(part for pair in node.whens for part in pair)
+        return parts if node.default is None else (*parts, node.default)
+    return ()
 
 
 def _collect_refs(expr: Expression) -> list[ColumnRef]:
-    refs: list[ColumnRef] = []
-
-    def walk(node):
-        if isinstance(node, ColumnRef):
-            refs.append(node)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FunctionCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, LikeOp):
-            walk(node.operand)
-            walk(node.pattern)
-        elif isinstance(node, CaseWhen):
-            for cond, result in node.whens:
-                walk(cond)
-                walk(result)
-            if node.default is not None:
-                walk(node.default)
-        elif isinstance(node, Cast):
-            walk(node.operand)
-
-    walk(expr)
-    return refs
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    return [ref for child in _children(expr) for ref in _collect_refs(child)]
 
 
 def _strip_prefix(expr: Expression, alias: str,
@@ -622,7 +618,7 @@ def _plan_having_pushdown(stmt: SelectStatement, shape: FrameShape):
     for conjunct in split_conjuncts(stmt.having):
         resolved = resolve_aliases(conjunct, alias_map)
         refs = _collect_refs(resolved)
-        if (not _expression_uses_aggregate(resolved)
+        if (not expression_uses_aggregate(resolved)
                 and refs
                 and all(shape.resolve(ref) in key_names for ref in refs)
                 and is_total(resolved, shape)):
@@ -652,13 +648,141 @@ def _plan_limit_scan(stmt: SelectStatement,
     for item in stmt.items:
         if isinstance(item.expression, Star):
             continue
-        if _expression_uses_aggregate(item.expression):
+        if expression_uses_aggregate(item.expression):
             return None
         if not is_total(item.expression, shape):
             return None
     if stmt.where is not None and not is_total(stmt.where, shape):
         return None
     return stmt.offset + stmt.limit
+
+
+# --- prepare-time errors -----------------------------------------------------
+
+
+def expand_star(stmt: SelectStatement, frame: DataFrame, *,
+                joined: bool = False) -> list[SelectItem]:
+    """The select list with ``*`` expanded to ``frame``'s columns."""
+    items: list[SelectItem] = []
+    for item in stmt.items:
+        if isinstance(item.expression, Star):
+            for name in frame.columns:
+                # Joined frames carry alias-prefixed columns; the output
+                # keeps the bare name (deduped later if ambiguous).
+                bare = name.split(".", 1)[1] if joined and "." in name \
+                    else None
+                items.append(SelectItem(ColumnRef(name), alias=bare))
+        else:
+            items.append(item)
+    return items
+
+
+def is_aggregate_query(stmt: SelectStatement) -> bool:
+    """True when ``stmt`` groups: GROUP BY, or an aggregate in the select
+    list or HAVING."""
+    return bool(stmt.group_by) or any(
+        expression_uses_aggregate(item.expression)
+        for item in stmt.items
+        if not isinstance(item.expression, Star)
+    ) or (stmt.having is not None
+          and expression_uses_aggregate(stmt.having))
+
+
+def _check_expression(expr: Expression, shape: FrameShape, *,
+                      group: bool) -> None:
+    """Raise what evaluating ``expr`` raises whatever the cell values.
+
+    Follows :func:`repro.sqlengine.evaluator.evaluate` and its order —
+    ``group`` picks a group context over a row context — but only for
+    the errors no value can avoid: an unknown column or function, a
+    wrong argument count, an aggregate outside a group, a misplaced
+    ``*``.
+    """
+    if isinstance(expr, ColumnRef):
+        if shape.joined:
+            resolve_joined_ref(shape.frame, expr)
+        elif shape.resolve(expr) is None:
+            raise SQLRuntimeError(f"no such column: {expr.name}")
+        return
+    if isinstance(expr, Star):
+        raise SQLRuntimeError("'*' is only valid in COUNT(*)")
+    if isinstance(expr, FunctionCall) and is_aggregate_name(expr.name):
+        if not group:
+            raise SQLRuntimeError(
+                f"aggregate {expr.name.upper()}() outside GROUP BY context")
+        args = expr.args
+        if expr.name.lower() == "count" and args \
+                and isinstance(args[0], Star):
+            return
+        if len(args) != 1:
+            raise SQLRuntimeError(
+                f"{expr.name.upper()}() expects one argument")
+        _check_expression(args[0], shape, group=False)
+        return
+    for child in _children(expr):
+        _check_expression(child, shape, group=group)
+    if isinstance(expr, FunctionCall):
+        function = SCALAR_FUNCTIONS.get(expr.name.lower())
+        if function is None:
+            raise SQLRuntimeError(f"unknown function {expr.name!r}")
+        # Every scalar function answers NULL to a NULL first argument, so
+        # a call with only NULLs runs nothing but its arity check.
+        function([None] * len(expr.args))
+
+
+def _check_statement(stmt: SelectStatement,
+                     tables: Mapping[str, DataFrame]) -> None:
+    """Raise the first error the interpreter would raise on ``stmt``
+    however many rows its tables hold.
+
+    SQLite binds every name when it prepares a statement, so a query over
+    an empty table fails as it does over a full one; the interpreter only
+    meets a name when it evaluates a row.  The walk follows the
+    executor's pipeline (ON, WHERE, GROUP BY, HAVING, select list, ORDER
+    BY) and its alias rules, so a statement that fails on its first row
+    fails here with the same error.
+    """
+    parts = [(stmt.table_alias or stmt.table,
+              resolve_table(stmt.table, tables))]
+    parts += [(join.alias or join.table, resolve_table(join.table, tables))
+              for join in stmt.joins]
+    try:
+        # Each ON predicate sees the tables joined so far.
+        shapes = [FrameShape.for_join(parts[:position + 2])
+                  for position in range(len(stmt.joins))]
+    except TableError:
+        return  # the join's own columns fail before any expression runs
+    for join, shape in zip(stmt.joins, shapes):
+        _check_expression(join.on, shape, group=False)
+    shape = shapes[-1] if shapes else FrameShape(parts[0][1])
+    if stmt.where is not None:
+        _check_expression(stmt.where, shape, group=False)
+    items = expand_star(stmt, shape.frame, joined=shape.joined)
+    aliases = {item.alias: item.expression for item in items if item.alias}
+    grouped = is_aggregate_query(stmt)
+    if grouped:
+        for key in stmt.group_by:
+            # GROUP BY may reference a select-list alias (SQLite allows it).
+            if (isinstance(key, ColumnRef) and key.table is None
+                    and not shape.has_exact(key.name)
+                    and key.name in aliases):
+                key = aliases[key.name]
+            if not isinstance(key, ColumnRef):
+                _check_expression(key, shape, group=False)
+            elif shape.joined:
+                resolve_joined_ref(shape.frame, key)
+            else:
+                shape.frame.column(key.name)
+        if stmt.having is not None:
+            _check_expression(resolve_aliases(stmt.having, aliases), shape,
+                              group=True)
+    for item in items:
+        _check_expression(item.expression, shape, group=grouped)
+    for order in stmt.order_by:
+        expr = order.expression
+        if not (isinstance(expr, ColumnRef) and expr.table is None
+                and expr.name in aliases):
+            _check_expression(expr, shape, group=grouped)
 
 
 # --- entry point -------------------------------------------------------------
@@ -676,30 +800,8 @@ def _schema_signature(stmt: SelectStatement,
     return tuple(signature)
 
 
-def plan_select(stmt: SelectStatement,
-                tables: Mapping[str, DataFrame]) -> PlannedSelect:
-    """Rewrite ``stmt`` for execution against ``tables`` (memoised)."""
-    from repro.sqlengine.plancache import (
-        DEFAULT_REWRITE_CACHE,
-        plan_cache_enabled,
-    )
-    from repro.telemetry.metrics import GLOBAL_REGISTRY
-
-    signature = _schema_signature(stmt, tables)
-    # repr, not the statement itself: dataclass equality conflates
-    # Literal(7) / Literal(7.0) / Literal(True), which are distinct
-    # statements that must not share a cached plan.
-    key = (repr(stmt), signature)
-    caching = plan_cache_enabled()
-    if caching:
-        lookups = GLOBAL_REGISTRY.counter(
-            "cache.lookups", "cache lookups by cache name and result")
-        cached = DEFAULT_REWRITE_CACHE.get(key)
-        if cached is not None:
-            lookups.inc(cache="sql_rewrite", result="hit")
-            return cached
-        lookups.inc(cache="sql_rewrite", result="miss")
-
+def _rewrite(stmt: SelectStatement,
+             tables: Mapping[str, DataFrame]) -> PlannedSelect:
     rewrites: list[str] = []
     pushed: tuple[tuple[int, Expression], ...] = ()
     scan_limit = None
@@ -721,10 +823,42 @@ def plan_select(stmt: SelectStatement,
         # Malformed shapes (duplicate prefixed columns, …) are the
         # runtime's errors to raise, in its own order — don't plan.
         stmt, rewrites, pushed, scan_limit = original, [], (), None
+    return PlannedSelect(stmt=stmt, pushed=pushed, scan_limit=scan_limit,
+                         rewrites=tuple(rewrites))
 
-    planned = PlannedSelect(stmt=stmt, pushed=pushed,
-                            scan_limit=scan_limit,
-                            rewrites=tuple(rewrites))
+
+def plan_select(stmt: SelectStatement, tables: Mapping[str, DataFrame], *,
+                rewrite: bool = True) -> PlannedSelect:
+    """Check ``stmt`` against ``tables`` and, with ``rewrite``, rewrite it
+    for execution (memoised)."""
+    from repro.sqlengine.plancache import (
+        DEFAULT_REWRITE_CACHE,
+        plan_cache_enabled,
+    )
+    from repro.telemetry.metrics import GLOBAL_REGISTRY
+
+    signature = _schema_signature(stmt, tables)
+    # repr, not the statement itself: dataclass equality conflates
+    # Literal(7) / Literal(7.0) / Literal(True), which are distinct
+    # statements that must not share a cached plan.
+    key = (repr(stmt), signature, rewrite)
+    caching = plan_cache_enabled()
+    if caching:
+        lookups = GLOBAL_REGISTRY.counter(
+            "cache.lookups", "cache lookups by cache name and result")
+        cached = DEFAULT_REWRITE_CACHE.get(key)
+        if cached is not None:
+            lookups.inc(cache="sql_rewrite", result="hit")
+            return cached
+        lookups.inc(cache="sql_rewrite", result="miss")
+
+    try:
+        _check_statement(stmt, tables)
+    except (SQLRuntimeError, TableError) as exc:
+        planned = PlannedSelect(stmt=stmt, error=str(exc))
+    else:
+        planned = _rewrite(stmt, tables) if rewrite \
+            else PlannedSelect(stmt=stmt)
     if caching:
         DEFAULT_REWRITE_CACHE.put(key, planned)
     return planned

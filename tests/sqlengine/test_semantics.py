@@ -7,9 +7,12 @@ differential test covers breadth; this covers the sharp edges with
 readable failures).
 """
 
+import sqlite3
+
 import pytest
 
 from repro.errors import SQLRuntimeError
+from repro.executors.sql_executor import run_sqlite_query
 from repro.sqlengine import execute_sql
 from repro.table import DataFrame
 from repro.telemetry.metrics import GLOBAL_REGISTRY
@@ -171,15 +174,45 @@ class TestAggregates:
         _served_by(engine)
 
 
+#: Statements SQLite rejects when it prepares them, whatever the rows.
+PREPARE_ERRORS = [
+    ("SELECT nope FROM T0", "no such column: nope"),
+    ("SELECT name FROM T0 WHERE nope > 3", "no such column: nope"),
+    ("SELECT name FROM T0 ORDER BY nope", "no such column: nope"),
+    ("SELECT SUM(nope) FROM T0", "no such column: nope"),
+    ("SELECT team, COUNT(*) FROM T0 GROUP BY team HAVING nope > 1",
+     "no such column: nope"),
+    ("SELECT a.nope FROM T0 a JOIN T0 b ON a.name = b.name",
+     "no such column: a.nope"),
+    ("SELECT a.name FROM T0 a JOIN T0 b ON a.nope = b.name",
+     "no such column: a.nope"),
+    ("SELECT NOFN(name) FROM T0", "unknown function 'nofn'"),
+    ("SELECT UPPER(name, name) FROM T0", "upper() expects 1 argument"),
+    ("SELECT SUM(score, score) FROM T0", "SUM() expects one argument"),
+    ("SELECT name FROM T0 WHERE COUNT(*) > 1", "outside GROUP BY"),
+    ("SELECT name FROM T0 ORDER BY SUM(score)", "outside GROUP BY"),
+]
+
+
 class TestErrorTiming:
-    def test_missing_column_with_no_rows_is_silent(self, engine):
-        # Resolution failures must surface only when a row is evaluated
-        # (the interpreter resolves per row, and the vector tier falls
-        # back to it) — so an empty input stays silent on both paths.
-        result = execute_sql("SELECT nope FROM T0 WHERE name = 'zzz'",
-                             {"T0": _frame()})
-        assert result.num_rows == 0
-        assert result.columns == ["nope"]
+    def test_missing_column_with_no_rows_raises(self, engine):
+        # Names bind before any row is read, as SQLite binds them when
+        # it prepares the statement: an empty input fails too.
+        with pytest.raises(SQLRuntimeError, match="no such column: nope"):
+            execute_sql("SELECT nope FROM T0 WHERE name = 'zzz'",
+                        {"T0": _frame()})
+
+    @pytest.mark.parametrize("sql, message", PREPARE_ERRORS)
+    def test_empty_table_fails_as_one_row_does(self, engine, sql, message):
+        one_row, empty = _frame().take([0]), _frame().take([])
+        with pytest.raises(SQLRuntimeError) as on_rows:
+            execute_sql(sql, {"T0": one_row})
+        assert message in str(on_rows.value)
+        with pytest.raises(SQLRuntimeError) as on_empty:
+            execute_sql(sql, {"T0": empty})
+        assert str(on_empty.value) == str(on_rows.value)
+        with pytest.raises(sqlite3.Error):
+            run_sqlite_query(sql, {"T0": empty})
 
     def test_missing_column_with_rows_raises(self, engine):
         with pytest.raises(SQLRuntimeError, match="no such column: nope"):

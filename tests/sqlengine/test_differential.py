@@ -15,7 +15,10 @@ The two tiers:
 
 Each frame also runs as a NULL-heavy variant (~30% of cells nulled) so
 NULL propagation through masks, join keys, and group keys is exercised
-everywhere, not just where the generator happens to place a NULL.
+everywhere, not just where the generator happens to place a NULL, and
+as an empty variant (no rows, same columns) so name binding cannot hide
+behind the absence of rows.  ``tests/sqlengine/test_sqlite_parity.py``
+runs the same generator against stdlib ``sqlite3``.
 """
 
 import os
@@ -29,6 +32,7 @@ from repro.table import DataFrame
 
 QUERIES_PER_FRAME = 80
 FRAME_SEEDS = (101, 202, 303, 404)
+VARIANTS = ("dense", "null_heavy", "empty")
 
 #: Env-var overlays for the two execution tiers.
 MODES = (
@@ -97,7 +101,7 @@ def _random_query(rng: random.Random, frame: DataFrame) -> str:
     cat = rng.choice(text)
     num = rng.choice(numeric)
     key = text[0]  # T1.Key is built from the first text column
-    shape = rng.randrange(15)
+    shape = rng.randrange(16)
     if shape == 0:
         return (f"SELECT * FROM T0 "
                 f"WHERE {_predicate(rng, frame, numeric, text)}")
@@ -172,7 +176,7 @@ def _random_query(rng: random.Random, frame: DataFrame) -> str:
         # distinct, first-occurrence order preserved pre-ORDER BY).
         return (f"SELECT DISTINCT {cat}, {num} FROM T0 "
                 f"ORDER BY {cat}, {num} LIMIT {rng.randint(3, 12)}")
-    # Deliberately broken references: error parity matters too.
+    # Shape 15: deliberately broken references — error parity matters too.
     return rng.choice([
         "SELECT missing_col FROM T0",
         f"SELECT {num} FROM T0 WHERE nope > 3",
@@ -206,6 +210,19 @@ def _null_heavy(frame: DataFrame, seed: int) -> DataFrame:
     }, name=frame.name)
 
 
+def frame_and_catalog(frame_seed: int, variant: str):
+    """The frame queries are drawn from, and the catalog they run on.
+
+    The empty variant runs the dense frame's queries over a T0 with its
+    columns and no rows; T1 keeps the dense frame's keys.
+    """
+    frame = generate_table(random.Random(frame_seed), num_rows=14).frame
+    if variant == "null_heavy":
+        frame = _null_heavy(frame, frame_seed + 11)
+    table = frame.take([]) if variant == "empty" else frame
+    return frame, {"T0": table, "T1": _lookup_table(frame)}
+
+
 def _outcome(sql: str, catalog, env: dict) -> tuple:
     saved = os.environ.pop("REPRO_SQL_VECTOR", None)
     os.environ.update(env)
@@ -220,14 +237,10 @@ def _outcome(sql: str, catalog, env: dict) -> tuple:
             os.environ["REPRO_SQL_VECTOR"] = saved
 
 
-@pytest.mark.parametrize("nulled", [False, True],
-                         ids=["dense", "null_heavy"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("frame_seed", FRAME_SEEDS)
-def test_two_tiers_agree(frame_seed, nulled):
-    frame = generate_table(random.Random(frame_seed), num_rows=14).frame
-    if nulled:
-        frame = _null_heavy(frame, frame_seed + 11)
-    catalog = {"T0": frame, "T1": _lookup_table(frame)}
+def test_two_tiers_agree(frame_seed, variant):
+    frame, catalog = frame_and_catalog(frame_seed, variant)
     rng = random.Random(frame_seed * 7 + 1)
     succeeded = 0
     for _ in range(QUERIES_PER_FRAME):

@@ -57,6 +57,7 @@ from repro.sqlengine.planner import (
     is_aggregate_query,
     plan_select,
     resolve_aliases as _resolve_aliases,
+    resolve_group_key,
     resolve_table as _resolve_table,
 )
 from repro.sqlengine.vector import (
@@ -121,9 +122,10 @@ def _execute_select(stmt: SelectStatement,
     joined = bool(stmt.joins)
     vectorized = vector_enabled()
 
-    # plan_select memoises by (statement, schema signature).  Plan
-    # rewrites ride the vector flag: REPRO_SQL_VECTOR=0 is the untouched
-    # interpreter, the perf baseline and in-engine oracle.
+    # plan_select checks the statement on both tiers and rewrites it on
+    # the vector tier only: REPRO_SQL_VECTOR=0 is the untouched
+    # interpreter, the perf baseline and in-engine oracle.  It memoises
+    # by (statement, schema signature).
     planned = plan_select(stmt, tables, rewrite=vectorized)
     if planned.error is not None:
         raise SQLRuntimeError(planned.error)
@@ -343,14 +345,10 @@ def _hash_equi_join(left: DataFrame, right: DataFrame, join: JoinClause,
             and isinstance(on.left, ColumnRef)
             and isinstance(on.right, ColumnRef)):
         return None
+    # plan_select has already rejected unresolvable or ambiguous refs.
     shape = DataFrame.empty(columns)
-    try:
-        first = columns.index(resolve_joined_ref(shape, on.left))
-        second = columns.index(resolve_joined_ref(shape, on.right))
-    except SQLRuntimeError:
-        # Unresolvable/ambiguous ref: let the nested loop raise the
-        # interpreter's error.
-        return None
+    first = columns.index(resolve_joined_ref(shape, on.left))
+    second = columns.index(resolve_joined_ref(shape, on.right))
     left_index, right_index = min(first, second), max(first, second)
     if not (left_index < left.num_columns <= right_index):
         return None  # both sides of = live in the same frame
@@ -494,11 +492,7 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
     key_plan = []
     if stmt.group_by:
         for expr in stmt.group_by:
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(expr, ColumnRef) and expr.table is None
-                    and expr.name not in frame
-                    and expr.name in alias_map):
-                expr = alias_map[expr.name]
+            expr = resolve_group_key(expr, frame, alias_map)
             if isinstance(expr, ColumnRef):
                 key_plan.append(expr)
             else:
@@ -514,8 +508,7 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
         key_columns = []
         for planned_key in key_plan:
             if isinstance(planned_key, ColumnRef):
-                # Resolve exactly as the interpreter does, so a bad key
-                # raises the identical error instead of falling back.
+                # Resolve exactly as the interpreter does.
                 if joined:
                     name = resolve_joined_ref(frame, planned_key)
                 else:
@@ -613,11 +606,7 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
         key_names = []
         working = frame.copy()
         for position, expr in enumerate(stmt.group_by):
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(expr, ColumnRef) and expr.table is None
-                    and expr.name not in working
-                    and expr.name in alias_map):
-                expr = alias_map[expr.name]
+            expr = resolve_group_key(expr, working, alias_map)
             if isinstance(expr, ColumnRef):
                 if joined:
                     key_names.append(resolve_joined_name(

@@ -85,6 +85,7 @@ __all__ = [
     "split_conjuncts",
     "conjoin",
     "resolve_aliases",
+    "resolve_group_key",
     "resolve_table",
 ]
 
@@ -143,9 +144,6 @@ class FrameShape:
             return self.frame.lowered_names().get(ref.name.lower())
         except SQLRuntimeError:
             return None
-
-    def has_exact(self, name: str) -> bool:
-        return name in self.frame
 
     def dtype_of(self, ref: ColumnRef) -> ColumnType | None:
         name = self.resolve(ref)
@@ -429,6 +427,19 @@ def resolve_aliases(expr: Expression,
     return walk(expr)
 
 
+def resolve_group_key(key: Expression, frame: DataFrame,
+                      alias_map: Mapping[str, Expression]) -> Expression:
+    """A GROUP BY key with a select-list alias replaced by its expression.
+
+    SQLite allows aliases in GROUP BY; a bare name that is a column of
+    ``frame`` (exactly) stays the column.
+    """
+    if (isinstance(key, ColumnRef) and key.table is None
+            and key.name not in frame and key.name in alias_map):
+        return alias_map[key.name]
+    return key
+
+
 # --- the planned form --------------------------------------------------------
 
 
@@ -598,10 +609,7 @@ def _plan_having_pushdown(stmt: SelectStatement, shape: FrameShape):
 
     key_names = set()
     for expr in stmt.group_by:
-        if (isinstance(expr, ColumnRef) and expr.table is None
-                and not shape.has_exact(expr.name)
-                and expr.name in alias_map):
-            expr = alias_map[expr.name]
+        expr = resolve_group_key(expr, shape.frame, alias_map)
         if isinstance(expr, ColumnRef):
             resolved = shape.resolve(expr)
             if resolved is not None:
@@ -762,11 +770,7 @@ def _check_statement(stmt: SelectStatement,
     grouped = is_aggregate_query(stmt)
     if grouped:
         for key in stmt.group_by:
-            # GROUP BY may reference a select-list alias (SQLite allows it).
-            if (isinstance(key, ColumnRef) and key.table is None
-                    and not shape.has_exact(key.name)
-                    and key.name in aliases):
-                key = aliases[key.name]
+            key = resolve_group_key(key, shape.frame, aliases)
             if not isinstance(key, ColumnRef):
                 _check_expression(key, shape, group=False)
             elif shape.joined:

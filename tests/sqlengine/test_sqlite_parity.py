@@ -270,10 +270,11 @@ def _compare(sql: str, frame: DataFrame, catalog: dict) -> str:
 @pytest.mark.parametrize("frame_seed", ORACLE_FRAME_SEEDS)
 def test_native_engine_matches_sqlite(frame_seed, variant):
     frame, catalog = frame_and_catalog(frame_seed, variant)
-    verdicts = {sql: _compare(sql, frame, catalog)
-                for sql in _oracle_queries(frame_seed, frame)}
-    diverged = {sql: verdict for sql, verdict in verdicts.items()
-                if verdict not in ("same", "tie order")}
+    diverged = []
+    for sql in _oracle_queries(frame_seed, frame):
+        verdict = _compare(sql, frame, catalog)
+        if verdict not in ("same", "tie order"):
+            diverged.append((sql, verdict))
     assert not diverged, diverged
 
 

@@ -69,15 +69,21 @@ class TestTierDispatch:
                                 tier="interpreted") == 1
         assert dispatch().value(stage="distinct", tier="vector") == 0
 
-    def test_interpreted_tier_counted_when_vector_off(self, tables,
-                                                      monkeypatch):
+    def test_where_counts_interpreted_tier_when_vector_off(self, tables,
+                                                           monkeypatch):
         monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
         execute_sql("SELECT name FROM t WHERE points > 10", tables)
         assert dispatch().value(stage="where", tier="interpreted") == 1
         assert dispatch().value(stage="where", tier="vector") == 0
+
+    def test_equi_join_counts_interpreted_tier_when_vector_off(
+            self, tables, monkeypatch):
+        monkeypatch.setenv("REPRO_SQL_VECTOR", "0")
         execute_sql("SELECT t.name FROM t JOIN u ON t.id = u.id",
                     tables)
         assert dispatch().value(stage="join", tier="interpreted") == 1
+        assert dispatch().value(stage="join", tier="vector") == 0
+        assert fallback().total() == 0
 
     def test_label_values_are_a_closed_set(self, tables):
         # Bounded cardinality: every label value comes from a fixed

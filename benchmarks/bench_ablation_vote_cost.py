@@ -15,8 +15,8 @@ from repro.core import (
     TreeExplorationVoting,
 )
 from repro.evalkit import evaluate_agent
-from repro.llm import CallCounter
 from repro.reporting import ComparisonTable, save_result
+from repro.telemetry import Telemetry, cost_summary
 
 
 def run_experiment() -> dict[str, tuple[float, float, float]]:
@@ -32,13 +32,16 @@ def run_experiment() -> dict[str, tuple[float, float, float]]:
     }
     measured = {}
     for name, factory in configurations.items():
-        counter = CallCounter(model_for(bench))
-        report = evaluate_agent(factory(counter), bench)
+        # The model_call spans charge every call and its estimated tokens.
+        telemetry = Telemetry()
+        with telemetry.activate():
+            report = evaluate_agent(factory(model_for(bench)), bench)
+        cost = cost_summary(telemetry.spans)
         questions = report.num_questions
         measured[name] = (
             report.accuracy,
-            counter.calls / questions,
-            counter.total_tokens / questions,
+            cost["model_calls"] / questions,
+            cost["total_tokens"] / questions,
         )
     return measured
 

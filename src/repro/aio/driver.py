@@ -2,9 +2,8 @@
 
 :class:`AsyncChainDriver` drives a fixed set of sans-IO
 :class:`~repro.engine.ChainEngine` chains to completion.  It is the one
-batched driver: the async server's greedy and voted attempts,
-``SimpleMajorityVoting`` and ``HeterogeneousEnsemble`` with
-``use_scheduler=True``, and ``repro perf``'s checks all run through it.
+batched driver: the async server's greedy and voted attempts and
+``SimpleMajorityVoting`` with ``use_scheduler=True`` run through it.
 The tick loop is written once, as a generator that yields each tick's
 requests and is sent their completions; :meth:`run` awaits the
 round-trip, :meth:`run_sync` makes it directly, with no event loop.

@@ -333,7 +333,7 @@ class AsyncServer(RequestLadder):
             runner.model, runner.registry, deadline=deadline,
             catch=getattr(runner, "handler_catch", (ExecutionError,))))
         if hasattr(runner, "chain_engines"):
-            # s-vote / ensemble: n chains coalescing their ticks.
+            # s-vote: n chains coalescing their ticks.
             with span("vote_run", method="s-vote", n=runner.n):
                 results = await driver.run(
                     runner.chain_engines(table, question))

@@ -11,11 +11,10 @@ Subcommands:
   accuracy plus the iteration histogram.
 * ``batch`` — the same evaluation through the concurrent serving layer
   (worker pool + answer cache), with serving metrics.  ``--strategy``
-  picks any registered reasoning strategy or an ``ensemble:a+b+c``
-  heterogeneous vote.
+  picks any registered reasoning strategy.
 * ``bench strategies`` — the cross-strategy evaluation matrix: every
-  registered strategy plus the heterogeneous ensemble over seeded
-  WikiTQ/TabFact suites, written to ``results/strategy_matrix.txt``.
+  registered strategy over seeded WikiTQ/TabFact suites, written to
+  ``results/strategy_matrix.txt``.
 * ``chaos`` — sweep deterministic fault-injection rates over a benchmark
   through the hardened serving stack and report the degradation curve
   (accuracy, answer rate, classified outcomes, breaker/retry activity).
@@ -34,12 +33,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from repro.core import ReActTableAgent, make_voter
 from repro.datasets import generate_dataset
 from repro.evalkit import evaluate_agent
 from repro.executors import default_registry, sql_only_registry
 from repro.llm import SimulatedTQAModel, get_profile
+from repro.perf import gate as perf_gate
 from repro.table import io as table_io
 
 
@@ -146,31 +147,15 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _resolve_strategy(strategy: str) -> str:
-    """The ``--strategy`` value, validated against the registry.
-
-    Raises :class:`repro.errors.StrategyError` for unknown names and
-    malformed ensemble specs, so callers can turn it into a clean usage
-    error instead of a traceback.
-    """
-    from repro.strategies import (get_strategy, is_ensemble_spec,
-                                  parse_ensemble_spec)
-
-    if is_ensemble_spec(strategy):
-        parse_ensemble_spec(strategy)
-    else:
-        get_strategy(strategy)
-    return strategy
-
-
 def _cmd_batch(args) -> int:
     from repro.errors import StrategyError
     from repro.serving import (AgentSpec, AnswerCache, BatchEvaluator,
                                RetryPolicy, ServingMetrics)
+    from repro.strategies import get_strategy
     from repro.tracing import ChainTracer
 
     try:
-        strategy = _resolve_strategy(args.strategy)
+        get_strategy(args.strategy)
     except StrategyError as exc:
         print(f"bad --strategy value: {exc}", file=sys.stderr)
         return 2
@@ -179,7 +164,7 @@ def _cmd_batch(args) -> int:
     spec = AgentSpec(bank=benchmark.bank, profile=args.model,
                      voting=args.voting, samples=args.samples,
                      sql_only=args.sql_only, sql_backend=args.sql_backend,
-                     strategy=strategy)
+                     strategy=args.strategy)
     cache = (AnswerCache(args.cache_size) if args.cache_size > 0
              else None)
     policy = RetryPolicy(timeout=args.timeout, max_retries=args.retries)
@@ -204,8 +189,8 @@ def _cmd_batch(args) -> int:
     report = evaluator.evaluate(benchmark)
     snapshot = metrics.snapshot()
     print(f"dataset={args.dataset} model={args.model} "
-          f"voting={args.voting} strategy={strategy} n={len(benchmark)} "
-          f"{concurrency}")
+          f"voting={args.voting} strategy={args.strategy} "
+          f"n={len(benchmark)} {concurrency}")
     print(f"accuracy: {report.accuracy:.3f}")
     print(f"iteration histogram: {dict(sorted(report.iteration_histogram.items()))}")
     if args.dataset == "fetaqa":
@@ -459,18 +444,30 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.perf import gate as perf_gate
-
-    gate_args: list[str] = []
-    if args.case:
-        gate_args.extend(["--case", args.case])
-    elif not args.timings:
-        gate_args.append("--check-only")
-    if args.update_baseline:
-        gate_args.append("--update-baseline")
-    if args.baseline:
-        gate_args.extend(["--baseline", args.baseline])
-    return perf_gate.main(gate_args)
+    if not (args.case or args.timings):
+        failures = perf_gate.run_checks()
+        print(f"perf checks: {'FAIL' if failures else 'ok'}")
+    else:
+        if args.case:
+            report = perf_gate.run_timings(only=args.case)
+            failures = perf_gate.floor_failures(report)
+        else:
+            baseline = Path(args.baseline or perf_gate.DEFAULT_BASELINE)
+            report, failures = perf_gate.run_gate(
+                baseline_path=baseline,
+                update_baseline=args.update_baseline)
+        for name, entry in report["cases"].items():
+            if "speedup" in entry:
+                print(f"  {name:28s} {entry['slow_s'] * 1e3:9.3f} ms -> "
+                      f"{entry['fast_s'] * 1e3:9.3f} ms  "
+                      f"({entry['speedup']:.2f}x)")
+            else:
+                print(f"  {name:28s} {entry['fast_s'] * 1e3:9.3f} ms")
+        if not args.case:
+            print(f"baseline: {baseline}")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_analyze(args) -> int:
@@ -527,7 +524,6 @@ def _cmd_trace(args) -> int:
                   f"(open in Perfetto / chrome://tracing)")
         else:
             out = out or "trace.copy.jsonl"
-            from pathlib import Path
             from shutil import copyfile
             copyfile(args.path, out)
             print(f"trace copied: {Path(out)}")
@@ -620,8 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "budget")
     batch.add_argument("--strategy", default="react", metavar="NAME",
                        help="reasoning strategy (react, cot, "
-                            "chain-of-table, commented-code) or an "
-                            "ensemble:a+b+c heterogeneous vote")
+                            "chain-of-table, commented-code)")
     batch.add_argument("--reflect", action="store_true",
                        help="arm the reflexion rung: failed attempts "
                             "harvest a failure report, generate a verbal "
@@ -726,8 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="cross-configuration evaluation matrices")
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     b_strategies = bench_sub.add_parser(
-        "strategies", help="every registered strategy + the "
-                           "heterogeneous ensemble over seeded "
+        "strategies", help="every registered strategy over seeded "
                            "wikitq/tabfact suites")
     b_strategies.add_argument("--size", type=int, default=60)
     b_strategies.add_argument("--seed", type=int, default=11)
@@ -743,6 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--timings", action="store_true",
                       help="also run the timing suite and regression gate")
     perf.add_argument("--case", metavar="NAME", default=None,
+                      choices=perf_gate.CASE_NAMES,
                       help="run a single timing case by name")
     perf.add_argument("--update-baseline", action="store_true",
                       help="rewrite results/BENCH_perf_substrates.json")

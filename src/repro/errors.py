@@ -64,7 +64,6 @@ __all__ = [
     "StrategyError",
     "UnknownStrategyError",
     "DuplicateStrategyError",
-    "EnsembleSpecError",
     "OperatorParseError",
     "RETRYABLE_BUILTINS",
     "is_retryable",
@@ -346,17 +345,6 @@ class DuplicateStrategyError(StrategyError):
 
     Always a programming bug (two modules claiming one name), never a
     runtime condition.
-    """
-
-    retryable = False
-
-
-class EnsembleSpecError(StrategyError):
-    """A heterogeneous-ensemble spec string could not be parsed.
-
-    Raised for malformed ``ensemble:a+b+c`` specs (empty member list,
-    empty member names).  Unknown member *names* raise
-    :class:`UnknownStrategyError` instead, at resolution time.
     """
 
     retryable = False

@@ -10,7 +10,6 @@ from repro.llm.profiles import (
     ModelProfile,
     get_profile,
 )
-from repro.llm.recording import CachingModel, CallCounter
 from repro.llm.simulated import SimulatedTQAModel
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "CODEX_SIM",
     "DAVINCI_SIM",
     "TURBO_SIM",
-    "CachingModel",
-    "CallCounter",
     "CallableModel",
     "RetryingModel",
 ]

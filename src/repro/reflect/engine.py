@@ -107,8 +107,8 @@ class ReflectEngine:
             raise ReflectionUnsupportedError(
                 f"runner {type(runner).__name__} exposes no chain-engine "
                 f"seam to re-run with reflections")
-        # Honour the runner's exception envelope: ensemble/CoT-family
-        # branches expect non-execution errors contained, not raised.
+        # Honour the runner's exception envelope: CoT-family chains
+        # expect non-execution errors contained, not raised.
         handler = EffectHandler(runner.model, runner.registry,
                                 deadline=deadline,
                                 catch=getattr(runner, "handler_catch",
@@ -156,9 +156,7 @@ class ReflectEngine:
             engines = runner.chain_engines(table, question)
             for engine in engines:
                 engine.prompt_hook = hook
-            method = ("ensemble" if hasattr(runner, "strategies")
-                      else "s-vote")
-            with span("vote_run", method=method, n=runner.n):
+            with span("vote_run", method="s-vote", n=runner.n):
                 results = [self._drive(engine, handler)
                            for engine in engines]
             return runner.tally(results)

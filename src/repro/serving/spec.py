@@ -22,8 +22,6 @@ from repro.datasets.spec import QuestionBank
 from repro.executors.registry import default_registry, sql_only_registry
 from repro.llm.profiles import get_profile
 from repro.llm.simulated import SimulatedTQAModel
-from repro.strategies.ensemble import HeterogeneousEnsemble
-from repro.strategies.registry import is_ensemble_spec, parse_ensemble_spec
 
 __all__ = ["AgentSpec"]
 
@@ -45,8 +43,7 @@ class AgentSpec:
     sql_only: bool = False
     sql_backend: str = "sqlite"
     max_iterations: int | None = None
-    #: A registered strategy name, or an ``ensemble:a+b+c`` spec (which
-    #: overrides ``voting`` — the ensemble is its own voting method).
+    #: A registered strategy name.
     strategy: str = "react"
 
     @property
@@ -69,12 +66,7 @@ class AgentSpec:
         return default_registry(sql_backend=self.sql_backend)
 
     def build(self, seed: int):
-        """A fresh runner (agent, voter or ensemble) seeded per request."""
-        if is_ensemble_spec(self.strategy):
-            return HeterogeneousEnsemble(
-                self._model(seed), parse_ensemble_spec(self.strategy),
-                registry=self._registry(),
-                max_iterations=self.max_iterations)
+        """A fresh runner (agent or voter) seeded per request."""
         kwargs = {"registry": self._registry()}
         if self.strategy != "react":
             kwargs["strategy"] = self.strategy

@@ -142,19 +142,21 @@ class GroupContext:
 
     Bare column references resolve against the group's first row, matching
     SQLite's behaviour for non-aggregated columns in aggregate queries.
+    The one group of an ungrouped aggregate query over no rows is empty:
+    its bare columns read NULL, as in SQLite.
     """
 
     def __init__(self, group: DataFrame, table_alias: str | None = None,
                  *, joined: bool = False):
-        if group.num_rows == 0:
-            raise SQLRuntimeError("empty group")
         self.group = group
         self.table_alias = table_alias
         self.joined = joined
-        self._first = RowContext(group.row(0), table_alias,
-                                 joined=joined)
+        self._first = (RowContext(group.row(0), table_alias, joined=joined)
+                       if group.num_rows else None)
 
     def column_value(self, ref: ColumnRef):
+        if self._first is None:
+            return None
         return self._first.column_value(ref)
 
     def aggregate(self, call: FunctionCall):

@@ -34,7 +34,6 @@ from repro.errors import SQLRuntimeError
 from repro.sqlengine.ast_nodes import (
     BinaryOp,
     ColumnRef,
-    FunctionCall,
     JoinClause,
     OrderItem,
     SelectItem,
@@ -542,8 +541,7 @@ def _execute_aggregate_vector(stmt: SelectStatement, frame: DataFrame,
             groups = _bucket(
                 hashed[0] if len(hashed) == 1 else list(zip(*hashed)))
     else:
-        if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names)
+        # One group over every row, even none (see _execute_aggregate).
         groups.append(list(range(frame.num_rows)))
 
     having_pg = having_fn(ctx) if having_fn is not None else None
@@ -627,12 +625,10 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
                 name for name in key_names if name.startswith("__group_")
             ]))
     else:
-        # A single implicit group covering the whole table.  SQLite returns
-        # one row even for an empty input (COUNT(*) = 0), but bare column
-        # references then yield NULL; we return an empty result for an empty
-        # input unless every item is an aggregate.
-        if frame.num_rows == 0:
-            return _aggregate_over_empty(items, names)
+        # A single implicit group covering the whole table.  Over no rows
+        # it is empty, and SQLite still answers one row: aggregates take
+        # their empty values (COUNT 0, the rest NULL), bare columns read
+        # NULL and the expressions around them are computed.
         groups.append(frame)
 
     having = stmt.having
@@ -658,15 +654,6 @@ def _execute_aggregate(stmt: SelectStatement, frame: DataFrame,
         indexes = sorted(range(len(rows)), key=lambda i: keys[i])
         rows = [rows[i] for i in indexes]
     return DataFrame.from_rows(rows, names)
-
-
-def _aggregate_over_empty(items, names) -> DataFrame:
-    """The one row an aggregate query without GROUP BY returns over no
-    rows: COUNT is 0, everything else NULL (bare columns included)."""
-    return DataFrame.from_rows([tuple(
-        0 if isinstance(item.expression, FunctionCall)
-        and item.expression.name.lower() == "count" else None
-        for item in items)], names)
 
 
 def _wrap_order_value(value, descending: bool) -> tuple:

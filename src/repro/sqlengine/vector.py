@@ -65,7 +65,7 @@ from repro.sqlengine.evaluator import (
 )
 from repro.sqlengine.functions import SCALAR_FUNCTIONS
 from repro.sqlengine.planner import FrameShape, is_total, numeric_kind
-from repro.table.frame import DataFrame
+from repro.table.frame import Column, DataFrame
 from repro.table.ops import aggregate_values
 from repro.table.schema import ColumnType, is_missing
 from repro.telemetry.metrics import GLOBAL_REGISTRY
@@ -633,9 +633,20 @@ def _first_row_gv(expr: Expression, shape: FrameShape):
         return None
 
     def prepare(ctx):
+        if not ctx.length:
+            # The one group of an ungrouped query over no rows: bare
+            # columns read NULL, the expression around them is computed.
+            value = column_fn(VectorContext(_null_row(ctx.frame)))[0]
+            return lambda indexes: value
         column = column_fn(ctx)
         return lambda indexes: column[indexes[0]]
     return prepare
+
+
+def _null_row(frame: DataFrame) -> DataFrame:
+    """``frame``'s columns, holding one row of NULLs."""
+    return DataFrame([Column(name, [None], frame.column(name).dtype)
+                      for name in frame.columns], name=frame.name)
 
 
 def _compile_gv(expr: Expression, shape: FrameShape):

@@ -9,9 +9,8 @@ batching, reflexion and serving inherited for free.
 
 Importing this package registers the four built-ins (``react``,
 ``cot``, ``chain-of-table``, ``commented-code``); see
-:mod:`repro.strategies.builtin`.  Cross-strategy voting lives in
-:class:`HeterogeneousEnsemble` and is spelled ``ensemble:a+b+c`` on the
-CLI.  See ``docs/architecture.md`` §15.
+:mod:`repro.strategies.builtin`.  Voting stays within one strategy, as
+in the paper.  See ``docs/architecture.md`` §15.
 """
 
 from repro.strategies import builtin as _builtin  # registers built-ins
@@ -21,12 +20,8 @@ from repro.strategies.base import (
     Strategy,
     default_extract_answer,
 )
-from repro.strategies.ensemble import HeterogeneousEnsemble
 from repro.strategies.registry import (
-    ENSEMBLE_PREFIX,
     get_strategy,
-    is_ensemble_spec,
-    parse_ensemble_spec,
     register_strategy,
     strategy_names,
 )
@@ -34,16 +29,12 @@ from repro.strategies.registry import (
 BUILTIN_STRATEGIES = _builtin.BUILTIN_STRATEGIES
 
 __all__ = [
-    "ENSEMBLE_PREFIX",
     "BUILTIN_STRATEGIES",
     "EngineRequest",
     "Strategy",
     "StrategyAgent",
-    "HeterogeneousEnsemble",
     "default_extract_answer",
     "get_strategy",
-    "is_ensemble_spec",
-    "parse_ensemble_spec",
     "register_strategy",
     "strategy_names",
 ]

@@ -2,10 +2,10 @@
 
 The repo has no network tokenizer, so cost is measured with the same
 deterministic estimate everywhere: :func:`estimate_tokens` (four
-characters per token, minimum one).  ``repro.llm.recording.CallCounter``
-and the telemetry ``model_call`` spans both use this function, which is
-what lets ``repro trace summary`` promise token totals that match the
-eval-path counters exactly.
+characters per token, minimum one).  The effect driver charges it to
+every ``model_call`` span, once per prompt and once per completion, so
+``repro trace summary`` and :func:`cost_summary` report each request's
+calls and tokens from the spans alone.
 
 Roll-ups work on *closed* spans: because a span folds its token totals
 into its parent when it closes (:class:`repro.telemetry.spans.Span`),

@@ -26,7 +26,6 @@ from repro.executors.registry import default_registry
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
 from repro.serving import AgentSpec
-from repro.strategies import HeterogeneousEnsemble
 from tests.engine.lockstep import LockStepDriver
 
 ANSWER = "ReAcTable: Answer: ```42```."
@@ -276,23 +275,6 @@ class TestSharedStates:
         assert builder.builds == 5
         assert len({id(result) for result in results}) == 6
 
-    def test_ensemble_members_run_unshared(self, cyclists, monkeypatch):
-        builds = []
-        build = PromptBuilder.build
-
-        def counted(self, transcript, *, force_answer=False):
-            builds.append(self)
-            return build(self, transcript, force_answer=force_answer)
-
-        monkeypatch.setattr(PromptBuilder, "build", counted)
-        model = ScriptedModel([ANSWER] * 3)
-        ensemble = HeterogeneousEnsemble(
-            model, ["react", "react", "chain-of-table"],
-            use_scheduler=True)
-        vote = ensemble.run(cyclists, "who ranked first?")
-        assert vote.num_chains == 3
-        assert len(builds) == 3 and len(set(map(id, builds))) == 3
-
     @pytest.mark.parametrize("samples", [1, 2, 5, 7])
     def test_shared_states_match_one_engine_per_chain(self, samples):
         """52 s-vote attempts per sample count (208 in all), over wikitq
@@ -425,9 +407,5 @@ class TestRunSync:
         example = wikitq_small.examples[0]
         voter = SimpleMajorityVoting(fresh_model(wikitq_small, 2),
                                      use_scheduler=True)
-        ensemble = HeterogeneousEnsemble(
-            fresh_model(wikitq_small, 2), ["react", "cot"],
-            use_scheduler=True)
-        for runner in (voter, ensemble):
-            vote = runner.run(example.table, example.question)
-            assert vote.num_chains == runner.n
+        vote = voter.run(example.table, example.question)
+        assert vote.num_chains == voter.n

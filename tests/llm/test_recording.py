@@ -1,8 +1,8 @@
-"""Tests for the model wrappers (caching, call counting, scripting)."""
+"""Tests for the scripted replay model."""
 
 import pytest
 
-from repro.llm import CachingModel, CallCounter, ScriptedModel
+from repro.llm import ScriptedModel
 
 
 class TestScriptedModel:
@@ -31,57 +31,3 @@ class TestScriptedModel:
         batch = model.complete("p", n=3)
         assert [c.text for c in batch] == ["a", "b", "c"]
 
-
-class TestCachingModel:
-    def test_greedy_calls_cached(self):
-        inner = ScriptedModel(["only one"])
-        cached = CachingModel(inner)
-        first = cached.complete("p")
-        second = cached.complete("p")
-        assert first == second
-        assert cached.hits == 1
-        assert cached.misses == 1
-
-    def test_different_prompts_not_shared(self):
-        inner = ScriptedModel(["a", "b"])
-        cached = CachingModel(inner)
-        assert cached.complete("p1")[0].text == "a"
-        assert cached.complete("p2")[0].text == "b"
-
-    def test_sampled_calls_not_cached_by_default(self):
-        inner = ScriptedModel(["a", "b"])
-        cached = CachingModel(inner)
-        cached.complete("p", temperature=0.6)
-        cached.complete("p", temperature=0.6)
-        assert cached.hits == 0
-
-    def test_sampled_caching_opt_in(self):
-        inner = ScriptedModel(["a"])
-        cached = CachingModel(inner, cache_sampled=True)
-        cached.complete("p", temperature=0.6)
-        cached.complete("p", temperature=0.6)
-        assert cached.hits == 1
-
-    def test_clear(self):
-        inner = ScriptedModel(["a", "b"])
-        cached = CachingModel(inner)
-        cached.complete("p")
-        cached.clear()
-        assert cached.complete("p")[0].text == "b"
-
-    def test_name_and_logprob_passthrough(self):
-        inner = ScriptedModel(["a"])
-        inner.supports_logprobs = False
-        cached = CachingModel(inner)
-        assert cached.name == "scripted"
-        assert cached.supports_logprobs is False
-
-
-class TestCallCounter:
-    def test_counts_calls_and_completions(self):
-        inner = ScriptedModel(["a", "b", "c"])
-        counter = CallCounter(inner)
-        counter.complete("p1")
-        counter.complete("p2", n=2)
-        assert counter.calls == 2
-        assert counter.completions == 3

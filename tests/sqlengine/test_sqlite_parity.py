@@ -107,6 +107,30 @@ def test_null_sorts_as_the_smallest_value(sql, vector, monkeypatch):
     assert native == run_sqlite_query(sql, catalog).to_rows()
 
 
+# --- an ungrouped aggregate over no rows --------------------------------------
+
+EMPTY_AGGREGATE_QUERIES = [
+    "SELECT COUNT(*) + 1 FROM T0",
+    "SELECT COALESCE(MAX(x), 0) FROM T0",
+    "SELECT 'n' || COUNT(*) FROM T0",
+    "SELECT COUNT(x) * 2, 7 FROM T0",
+    "SELECT COUNT(*) FROM T0 HAVING COUNT(*) > 0",
+]
+
+
+@pytest.mark.parametrize("sql", EMPTY_AGGREGATE_QUERIES)
+@pytest.mark.parametrize("vector", ["1", "0"], ids=["vector", "interpreted"])
+def test_aggregate_over_no_rows_computes_each_item(sql, vector,
+                                                   monkeypatch):
+    """Over no rows the one implicit group is empty, as in SQLite:
+    aggregates take their empty values (COUNT 0, the rest NULL), the
+    expressions around them are computed, and HAVING still filters."""
+    monkeypatch.setenv("REPRO_SQL_VECTOR", vector)
+    catalog = {"T0": DataFrame.from_rows([], ["x", "s"], name="T0")}
+    native = execute_sql(sql, catalog).to_rows()
+    assert native == run_sqlite_query(sql, catalog).to_rows()
+
+
 # --- property-based parity over generated plan steps -------------------------
 
 names = st.sampled_from(["Rank", "Points"])

@@ -1,8 +1,8 @@
 """Strategy conformance: every registered strategy, both serving ladders.
 
 The strategy layer's core claim is substitutability — any registered
-strategy (and any ensemble of them) rides the full serving stack with no
-strategy-specific code in the ladders.  This suite pins that claim on a
+strategy rides the full serving stack with no strategy-specific code in
+the ladders.  This suite pins that claim on a
 40-question seeded WikiTQ slice, per strategy:
 
 * **ok** — the thread-pool ladder (:class:`BatchEvaluator`) and the
@@ -28,19 +28,13 @@ from repro.serving import (
 from repro.serving.request import OUTCOMES
 from repro.strategies import strategy_names
 
-#: Every registered strategy plus one heterogeneous ensemble spec —
-#: the full vocabulary `AgentSpec.strategy` accepts.
-ALL_STRATEGIES = tuple(strategy_names()) + ("ensemble:react+cot",)
-
-each_strategy = pytest.mark.parametrize(
-    "strategy", ALL_STRATEGIES,
-    ids=[name.replace("ensemble:", "ens-") for name in ALL_STRATEGIES])
+#: Every registered strategy — the full vocabulary `AgentSpec.strategy`
+#: accepts.
+each_strategy = pytest.mark.parametrize("strategy", strategy_names())
 
 
-def pool_responses(spec, benchmark, *, policy=None, limit=None,
-                   batch_scheduler=None):
-    evaluator = BatchEvaluator(spec, workers=4, seed=1, policy=policy,
-                               batch_scheduler=batch_scheduler)
+def pool_responses(spec, benchmark, *, policy=None, limit=None):
+    evaluator = BatchEvaluator(spec, workers=4, seed=1, policy=policy)
     report = evaluator.evaluate(benchmark, limit=limit)
     return report, evaluator.last_responses
 
@@ -124,12 +118,8 @@ class TestFaultInjected:
             FaultConfig.uniform(0.2, latency_seconds=0.0),
             model_retries=2)
         policy = RetryPolicy(max_retries=2)
-        # Fault schedules are indexed by model-call arrival order, so
-        # the pool must coalesce ensemble chain ticks the way the async
-        # batcher always does (the voted-parity contract).
         _, pool = pool_responses(spec, wikitq_small, policy=policy,
-                                 limit=10,
-                                 batch_scheduler="ensemble" in strategy)
+                                 limit=10)
         _, async_ = async_responses(spec, wikitq_small, policy=policy,
                                     limit=10)
         assert len(pool) == 10 and len(async_) == 10

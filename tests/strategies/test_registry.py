@@ -2,27 +2,23 @@
 
 The registry is the single engine-resolution seam (see
 ``docs/architecture.md`` §15): every failure mode a caller can hit —
-unknown names, duplicate registration, malformed ensemble specs — must
-raise a typed :class:`~repro.errors.StrategyError` subclass with a
-message that says what exists, because the CLI turns these directly
-into user-facing diagnostics.
+unknown names, duplicate registration — must raise a typed
+:class:`~repro.errors.StrategyError` subclass with a message that says
+what exists, because the CLI turns these directly into user-facing
+diagnostics.
 """
 
 import pytest
 
 from repro.errors import (
     DuplicateStrategyError,
-    EnsembleSpecError,
     ExecutionError,
     StrategyError,
     UnknownStrategyError,
 )
 from repro.strategies import (
-    ENSEMBLE_PREFIX,
     Strategy,
     get_strategy,
-    is_ensemble_spec,
-    parse_ensemble_spec,
     register_strategy,
     strategy_names,
 )
@@ -96,39 +92,3 @@ class TestRegisterStrategy:
             from repro.strategies.registry import _REGISTRY
             _REGISTRY.pop("test-only", None)
 
-
-class TestEnsembleSpec:
-    def test_round_trip(self):
-        assert parse_ensemble_spec("ensemble:react+cot") == \
-            ("react", "cot")
-
-    def test_whitespace_tolerated(self):
-        assert parse_ensemble_spec("ensemble: react + cot ") == \
-            ("react", "cot")
-
-    def test_is_ensemble_spec(self):
-        assert is_ensemble_spec(ENSEMBLE_PREFIX + "a+b")
-        assert not is_ensemble_spec("react")
-
-    def test_missing_prefix_rejected(self):
-        with pytest.raises(EnsembleSpecError, match="must start with"):
-            parse_ensemble_spec("react+cot")
-
-    def test_empty_member_rejected(self):
-        with pytest.raises(EnsembleSpecError, match="empty member"):
-            parse_ensemble_spec("ensemble:react+")
-        with pytest.raises(EnsembleSpecError, match="empty member"):
-            parse_ensemble_spec("ensemble:react++cot")
-
-    def test_single_member_rejected(self):
-        with pytest.raises(EnsembleSpecError, match="at least two"):
-            parse_ensemble_spec("ensemble:react")
-
-    def test_unknown_member_rejected(self):
-        with pytest.raises(UnknownStrategyError, match="nope"):
-            parse_ensemble_spec("ensemble:react+nope")
-
-    def test_spec_errors_are_strategy_errors(self):
-        for bad in ("react+cot", "ensemble:react", "ensemble:a+"):
-            with pytest.raises(StrategyError):
-                parse_ensemble_spec(bad)

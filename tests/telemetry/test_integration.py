@@ -1,14 +1,16 @@
-"""Cross-cutting guarantees: token parity with CallCounter, determinism.
+"""Cross-cutting guarantees: span token parity, determinism.
 
 Acceptance criteria of the telemetry PR: per-request span token totals
-match :class:`repro.llm.CallCounter` within rounding, and enabling
-tracing changes no answer.
+equal :func:`repro.telemetry.estimate_tokens` over every prompt the model
+saw and every completion it returned, and enabling tracing changes no
+answer.
 """
 
 from repro.core import ReActTableAgent
-from repro.llm import CallCounter, SimulatedTQAModel, get_profile
+from repro.llm import LanguageModel, SimulatedTQAModel, get_profile
 from repro.llm.base import ScriptedModel
 from repro.serving import AgentSpec, AnswerCache, WorkerPool
+from repro.telemetry import cost_summary, estimate_tokens
 from repro.tracing import ChainTracer
 
 SCRIPT = [
@@ -17,33 +19,52 @@ SCRIPT = [
 ]
 
 
-class TestTokenParityWithCallCounter:
-    def test_root_span_totals_match_the_counter(self, tiny_frame):
+class SeenModel(LanguageModel):
+    """Keeps every prompt sent to ``inner`` and every completion text."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.prompts = []
+        self.texts = []
+
+    def complete(self, prompt, *, temperature=0.0, n=1):
+        completions = self.inner.complete(prompt, temperature=temperature,
+                                          n=n)
+        self.prompts.append(prompt)
+        self.texts.extend(c.text for c in completions)
+        return completions
+
+
+def tokens(texts) -> int:
+    return sum(estimate_tokens(text) for text in texts)
+
+
+class TestTokenParity:
+    def test_root_span_totals_match_what_the_model_saw(self, tiny_frame):
         tracer = ChainTracer()
-        counter = CallCounter(ScriptedModel(SCRIPT))
-        agent = ReActTableAgent(counter, tracer=tracer)
+        model = ScriptedModel(SCRIPT)
+        agent = ReActTableAgent(model, tracer=tracer)
         agent.run(tiny_frame, "list a")
 
         root = next(s for s in tracer.telemetry.spans
                     if s.parent_id is None)
         assert root.kind == "agent_run"
-        assert root.prompt_tokens == counter.prompt_tokens
-        assert root.completion_tokens == counter.completion_tokens
-        assert root.model_calls == counter.calls == 2
+        assert root.prompt_tokens == tokens(model.prompts)
+        assert root.completion_tokens == tokens(SCRIPT)
+        assert root.model_calls == len(model.prompts) == 2
 
-    def test_cost_summary_matches_counter_across_requests(self, wikitq_small):
-        from repro.telemetry import cost_summary
-
+    def test_cost_summary_matches_what_the_models_saw(self, wikitq_small):
         tracer = ChainTracer()
         totals = {"prompt": 0, "completion": 0, "calls": 0}
         for i, example in enumerate(wikitq_small.examples[:4]):
-            counter = CallCounter(SimulatedTQAModel(
+            model = SeenModel(SimulatedTQAModel(
                 wikitq_small.bank, get_profile("codex-sim"), seed=i))
-            agent = ReActTableAgent(counter, tracer=tracer)
+            agent = ReActTableAgent(model, tracer=tracer)
             agent.run(example.table, example.question)
-            totals["prompt"] += counter.prompt_tokens
-            totals["completion"] += counter.completion_tokens
-            totals["calls"] += counter.calls
+            totals["prompt"] += tokens(model.prompts)
+            totals["completion"] += tokens(model.texts)
+            totals["calls"] += len(model.prompts)
 
         summary = cost_summary(tracer.telemetry.spans)
         assert summary["prompt_tokens"] == totals["prompt"]

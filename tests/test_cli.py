@@ -266,6 +266,12 @@ class TestPerf:
         assert baseline.exists()
         assert "native_group_aggregate" in capsys.readouterr().out
 
+    def test_unknown_case_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "--case", "nope"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
 
 class TestChaos:
     def test_sweep_reports_degradation_curve(self, capsys):

@@ -129,7 +129,7 @@ def _async_chains(bench, examples):
                for ex in examples]
     driver = AsyncChainDriver(model, default_registry())
     started = time.perf_counter()
-    results = driver.run_sync(engines)
+    results = asyncio.run(driver.run(engines))
     return time.perf_counter() - started, results
 
 

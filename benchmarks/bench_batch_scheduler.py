@@ -1,8 +1,8 @@
 """Batched chain driving vs sequential driving under simulated API latency.
 
-Not a paper experiment — this measures the batched chain driver,
-``repro.aio.AsyncChainDriver`` (lock-step batching over sans-IO chain
-engines), against the sequential one-call-per-step driver.  The offline
+Not a paper experiment — this measures the chain driver's tick loop,
+``repro.engine.ChainDriver`` (lock-step batching over sans-IO chain
+engines) over many chains at once, against one chain at a time.  The offline
 simulated model answers instantly, which hides exactly the cost batching
 removes, so a ``LatencyModel`` wrapper charges every round-trip a fixed
 per-call latency plus a small per-completion cost — the usual API bill.
@@ -27,8 +27,8 @@ import time
 
 from harness import MODEL_SEED, benchmark_for, model_for, scale
 
-from repro.aio import AsyncChainDriver
 from repro.core import ReActTableAgent, SimpleMajorityVoting
+from repro.engine import ChainDriver, EffectHandler
 from repro.executors import default_registry
 from repro.llm.base import LanguageModel
 from repro.reporting import save_result
@@ -108,9 +108,9 @@ def _batched_chains(bench, examples):
     agent = ReActTableAgent(model)
     engines = [agent.engine_for(ex.table, ex.question)
                for ex in examples]
-    driver = AsyncChainDriver(model, default_registry())
+    driver = ChainDriver(EffectHandler(model, default_registry()))
     started = time.perf_counter()
-    results = driver.run_sync(engines)
+    results = driver.run(engines)
     return time.perf_counter() - started, results, model, driver
 
 
@@ -164,7 +164,7 @@ def test_batch_scheduler(benchmark):
         f"workload: {QUESTIONS} greedy wikitq chains",
         f"{'sequential driver':<32} {measured['sequential_seconds']:>8.2f}"
         f" s  ({measured['sequential_round_trips']} round-trips)",
-        f"{'AsyncChainDriver':<32} {measured['batched_seconds']:>8.2f}"
+        f"{'ChainDriver':<32} {measured['batched_seconds']:>8.2f}"
         f" s  ({measured['batched_round_trips']} round-trips, "
         f"{measured['ticks']} ticks, "
         f"{measured['coalesced_requests']} requests)",

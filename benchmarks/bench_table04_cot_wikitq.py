@@ -6,9 +6,9 @@ s-vote *helps* ReAcTable (+2.2) but *hurts* Codex-CoT (−1.7), because the
 high-temperature sampling compounds CoT's ungrounded uncertainty.
 """
 
-from harness import CoTMajorityAgent, benchmark_for, model_for
+from harness import VOTE_SAMPLES, VOTE_TEMPERATURE, benchmark_for, model_for
 
-from repro.core import CodexCoTAgent, ReActTableAgent, SimpleMajorityVoting
+from repro.core import ReActTableAgent, SimpleMajorityVoting
 from repro.evalkit import evaluate_agent
 from repro.reporting import ComparisonTable, save_result
 from repro.reporting.paper import TABLE4_COT_WIKITQ
@@ -17,8 +17,10 @@ from repro.reporting.paper import TABLE4_COT_WIKITQ
 def run_experiment() -> dict[str, float]:
     benchmark = benchmark_for("wikitq")
     agents = {
-        "Codex-CoT": CodexCoTAgent(model_for(benchmark)),
-        "Codex-CoT with s-vote": CoTMajorityAgent(model_for(benchmark)),
+        "Codex-CoT": ReActTableAgent(model_for(benchmark), strategy="cot"),
+        "Codex-CoT with s-vote": SimpleMajorityVoting(
+            model_for(benchmark), strategy="cot", n=VOTE_SAMPLES,
+            temperature=VOTE_TEMPERATURE),
         "ReAcTable": ReActTableAgent(model_for(benchmark)),
         "ReAcTable with s-vote": SimpleMajorityVoting(
             model_for(benchmark), n=5),

@@ -5,9 +5,9 @@ s-vote the gap stays large (72.3 vs 86.1).  Unlike WikiTQ, s-vote slightly
 helps CoT here (binary verdicts concentrate the vote).
 """
 
-from harness import CoTMajorityAgent, benchmark_for, model_for
+from harness import VOTE_SAMPLES, VOTE_TEMPERATURE, benchmark_for, model_for
 
-from repro.core import CodexCoTAgent, ReActTableAgent, SimpleMajorityVoting
+from repro.core import ReActTableAgent, SimpleMajorityVoting
 from repro.evalkit import evaluate_agent
 from repro.reporting import ComparisonTable, save_result
 from repro.reporting.paper import TABLE5_COT_TABFACT
@@ -16,8 +16,10 @@ from repro.reporting.paper import TABLE5_COT_TABFACT
 def run_experiment() -> dict[str, float]:
     benchmark = benchmark_for("tabfact")
     agents = {
-        "Codex-CoT": CodexCoTAgent(model_for(benchmark)),
-        "Codex-CoT with s-vote": CoTMajorityAgent(model_for(benchmark)),
+        "Codex-CoT": ReActTableAgent(model_for(benchmark), strategy="cot"),
+        "Codex-CoT with s-vote": SimpleMajorityVoting(
+            model_for(benchmark), strategy="cot", n=VOTE_SAMPLES,
+            temperature=VOTE_TEMPERATURE),
         "ReAcTable": ReActTableAgent(model_for(benchmark)),
         "ReAcTable with s-vote": SimpleMajorityVoting(
             model_for(benchmark), n=5),

@@ -17,12 +17,10 @@ import time
 from functools import lru_cache
 
 from repro.core import (
-    CodexCoTAgent,
     ExecutionBasedVoting,
     ReActTableAgent,
     SimpleMajorityVoting,
     TreeExplorationVoting,
-    get_majority,
 )
 from repro.datasets import Benchmark, generate_dataset
 from repro.evalkit import evaluate_agent
@@ -35,7 +33,6 @@ __all__ = [
     "model_for",
     "serving_spec_for",
     "accuracy_suite",
-    "CoTMajorityAgent",
     "FallbackBenchmark",
     "VOTE_SAMPLES",
     "VOTE_TEMPERATURE",
@@ -111,24 +108,6 @@ def serving_spec_for(benchmark: Benchmark,
     from repro.serving import AgentSpec
 
     return AgentSpec(bank=benchmark.bank, profile=profile_name)
-
-
-class CoTMajorityAgent:
-    """Simple majority voting over the Codex-CoT baseline (Tables 4/5)."""
-
-    def __init__(self, model, *, n: int = VOTE_SAMPLES,
-                 temperature: float = VOTE_TEMPERATURE):
-        self.model = model
-        self.n = n
-        self.temperature = temperature
-
-    def run(self, table, question):
-        agent = CodexCoTAgent(self.model, temperature=self.temperature)
-        results = [agent.run(table, question) for _ in range(self.n)]
-        winner = get_majority([result.answer for result in results])
-        chosen = results[0]
-        chosen.answer = winner
-        return chosen
 
 
 def accuracy_suite(benchmark: Benchmark, profile_name: str = "codex-sim",

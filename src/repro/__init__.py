@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from repro.core import (
-    CodexCoTAgent,
     ExecutionBasedVoting,
     PromptBuilder,
     ReActTableAgent,
@@ -63,7 +62,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DataFrame",
     "ReActTableAgent",
-    "CodexCoTAgent",
     "PromptBuilder",
     "SimpleMajorityVoting",
     "TreeExplorationVoting",

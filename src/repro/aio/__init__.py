@@ -11,10 +11,10 @@ at once:
   ``model_call`` / ``model_batch`` over an :class:`AsyncLanguageModel`
   adapter (:mod:`repro.aio.adapter`), same spans/tokens/deadline seam as
   the sync :class:`~repro.engine.EffectHandler`.
-* :class:`AsyncChainDriver` (:mod:`repro.aio.driver`) — the repo's one
-  batched chain driver: lock-step ticks that coalesce identical pending
-  prompts into one round-trip and step each distinct chain state once,
-  awaited on the loop or run synchronously.
+* :class:`AsyncChainDriver` (:mod:`repro.aio.driver`) — the tick loop
+  of :class:`~repro.engine.ChainDriver` (lock-step ticks that coalesce
+  identical pending prompts into one round-trip and step each distinct
+  chain state once), its round-trips awaited on the loop.
 * :class:`WeightedFairQueue` (:mod:`repro.aio.fairness`) — per-tenant
   weighted fair queueing for admission order under backlog.
 * :class:`AsyncServer` (:mod:`repro.aio.server`) — the request ladder

@@ -19,9 +19,10 @@ runs too, so the two return equal responses for the same requests
 * a request is a *coroutine*, not a thread — the in-flight budget
   (``max_inflight``) can be hundreds without hundreds of stacks;
 * chain runners (greedy and s-vote) run each attempt as one
-  :class:`~repro.aio.driver.AsyncChainDriver` run (voted chains
-  coalesce their ticks and share their states), with the runner's
-  exception envelope and the deadline on the
+  :class:`~repro.aio.driver.AsyncChainDriver` run — the tick loop every
+  chain runs through, its round-trips awaited (voted chains coalesce
+  their ticks and share their states) — with the runner's exception
+  envelope and the deadline on the
   :class:`~repro.aio.handler.AsyncEffectHandler` seam; blocking
   tree/execution voters and the reflexion and degraded rungs run in
   worker threads via ``asyncio.to_thread``;
@@ -35,9 +36,9 @@ runs too, so the two return equal responses for the same requests
 * identical in-flight requests share one future.
 
 Telemetry: each request's span tree (``request`` → ``attempt`` →
-``agent_run``/``vote_run`` → ``model_call``) lives in its own asyncio
-task context, so trees stay correctly nested while hundreds of requests
-interleave on one loop.
+``agent_run``/``vote_run`` → ``iteration`` → ``model_call``, as on the
+pool) lives in its own asyncio task context, so trees stay correctly
+nested while hundreds of requests interleave on one loop.
 """
 
 from __future__ import annotations

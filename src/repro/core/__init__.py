@@ -20,7 +20,6 @@ from repro.core.autovote import (
     VoteSelection,
     select_voting_method,
 )
-from repro.core.cot import CodexCoTAgent
 from repro.core.fewshot import (
     FewShotSelector,
     question_similarity,
@@ -58,7 +57,6 @@ __all__ = [
     "DEFAULT_FEW_SHOT",
     "ReActTableAgent",
     "AgentResult",
-    "CodexCoTAgent",
     "FewShotSelector",
     "question_similarity",
     "render_demonstration",

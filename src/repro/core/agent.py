@@ -22,17 +22,19 @@ An optional ``max_iterations`` cap reproduces the Table 7 experiment: at
 the limit the model is forced to answer the same way.
 
 Since the sans-IO refactor the loop itself lives in
-:class:`repro.engine.ChainEngine`; this class is the trivial synchronous
-driver over it (prompt-builder selection, model forking, telemetry
-activation).  :data:`HARD_ITERATION_CAP` and :class:`AgentResult` are
-re-exported from :mod:`repro.engine` for back-compat.
+:class:`repro.engine.ChainEngine` and runs through the one tick loop,
+:class:`repro.engine.ChainDriver`; this class is the single-chain runner
+of every registered strategy (prompt-builder selection, model forking,
+telemetry activation).  :data:`HARD_ITERATION_CAP` and
+:class:`AgentResult` are re-exported from :mod:`repro.engine` for
+back-compat.
 """
 
 from __future__ import annotations
 
 from repro.core.prompt import PromptBuilder
-from repro.engine.core import HARD_ITERATION_CAP, ChainEngine
-from repro.engine.driver import EffectHandler, drive, run_chain
+from repro.engine.core import HARD_ITERATION_CAP
+from repro.engine.driver import ChainDriver, EffectHandler
 from repro.engine.result import AgentResult
 from repro.errors import IterationLimitError
 from repro.executors.registry import ExecutorRegistry, default_registry
@@ -57,7 +59,11 @@ def _normalize_table_columns(table: DataFrame) -> DataFrame:
 
 
 class ReActTableAgent:
-    """The ReAcTable framework without voting (Algorithm 1's inner loop)."""
+    """The ReAcTable framework without voting (Algorithm 1's inner loop).
+
+    ``strategy`` names any registered strategy: ``ReActTableAgent(model,
+    strategy="cot")`` is the Codex-CoT baseline of Section 4.3.1.
+    """
 
     def __init__(self, model: LanguageModel, *,
                  registry: ExecutorRegistry | None = None,
@@ -110,9 +116,9 @@ class ReActTableAgent:
     def engine_for(self, table: DataFrame, question: str):
         """A fresh engine for one question, agent-configured.
 
-        The hook batched drivers use: the returned engine carries this
+        The hook chain drivers use: the returned engine carries this
         agent's prompt builder, temperature and iteration caps, ready to
-        be driven by a :class:`repro.aio.AsyncChainDriver` alongside
+        be driven by a :class:`repro.engine.ChainDriver` alongside
         other chains (without a few-shot selector, engines for one
         question share the agent's builder, so the driver can step them
         as one state).  The engine class itself comes from the strategy
@@ -159,8 +165,6 @@ class ReActTableAgent:
                 root.set(question=question[:120])
             handler = EffectHandler(model, self.registry,
                                     catch=self.strategy.handler_catch)
-            if isinstance(engine, ChainEngine):
-                return run_chain(engine, handler, tracer=self.tracer)
-            # CoT-family engines emit several execute effects per model
-            # call; the generic pump handles that shape.
-            return drive(engine, handler)
+            (result,) = ChainDriver(handler, tracer=self.tracer).run(
+                [engine])
+            return result

@@ -23,10 +23,10 @@ voted runs get the same token attribution and cost fold-up as single
 chains (they used to bypass the spans and under-report).  Each ``run``
 is wrapped in a ``vote_run`` span carrying the method name.
 
-:class:`SimpleMajorityVoting` additionally supports the batched driver:
+:class:`SimpleMajorityVoting` runs each chain through the tick loop
+(:class:`repro.engine.ChainDriver`): one loop per chain by default, or,
 with ``use_scheduler=True`` (the serving pool sets it under
-``batch_scheduler=True``) its *n* chains run in lock-step ticks through
-a :class:`repro.aio.AsyncChainDriver`, with no event loop.  The driver
+``batch_scheduler=True``), one loop of all *n* chains.  That loop
 coalesces identical pending prompts across chains into single batched
 completions, and since the chains start from one prompt builder it
 steps those in the same state as one engine.
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from repro.core.actions import ActionKind, parse_action
 from repro.core.agent import HARD_ITERATION_CAP, ReActTableAgent
 from repro.engine.core import ChainEngine
-from repro.engine.driver import EffectHandler
+from repro.engine.driver import ChainDriver, EffectHandler
 from repro.errors import ActionParseError, ModelError, StrategyError
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.llm.base import LanguageModel
@@ -127,9 +127,9 @@ class SimpleMajorityVoting:
     """Algorithm 1: n independent chains, majority answer.
 
     ``use_scheduler=True`` switches from n sequential agent runs to one
-    :class:`repro.aio.AsyncChainDriver` pass driving all n chains in
+    :class:`~repro.engine.ChainDriver` loop driving all n chains in
     lock-step with coalesced model calls.  Same voting policy, one
-    batched round-trip per tree level instead of one call per step.
+    batched round-trip per tick instead of one call per chain step.
     """
 
     def __init__(self, model: LanguageModel, *,
@@ -162,7 +162,10 @@ class SimpleMajorityVoting:
     def run(self, table: DataFrame, question: str) -> VotingResult:
         with span("vote_run", method="s-vote", n=self.n):
             if self.use_scheduler:
-                results = self._run_scheduled(table, question)
+                handler = EffectHandler(self.model, self.registry,
+                                        catch=self.handler_catch)
+                results = ChainDriver(handler).run(
+                    self.chain_engines(table, question))
             else:
                 agent = self._agent()
                 results = [agent.run(table, question)
@@ -173,8 +176,8 @@ class SimpleMajorityVoting:
                       question: str) -> list[ChainEngine]:
         """The voter's *n* independent chains as sans-IO engines.
 
-        The seam for external drivers (the batched chain driver here and
-        in the async server): drive these however you like,
+        The seam for external drivers (the tick loop here and in the
+        async server): drive these however you like,
         then combine the results with :meth:`tally` — same voting policy,
         any sequencing.  The engines share one prompt builder, which
         lets the batched driver step chains in the same state once.
@@ -191,15 +194,6 @@ class SimpleMajorityVoting:
         extract = self.strategy.extract_answer
         return self._tally([list(extract(r)) for r in results],
                            [r.iterations for r in results])
-
-    def _run_scheduled(self, table: DataFrame, question: str):
-        # Imported here: repro.aio's package import reaches this module
-        # through the serving layer, so a module-level import would cycle.
-        from repro.aio.driver import AsyncChainDriver
-
-        driver = AsyncChainDriver(self.model, self.registry,
-                                  catch=self.handler_catch)
-        return driver.run_sync(self.chain_engines(table, question))
 
     def _tally(self, answers: list[list[str]],
                iterations: list[int]) -> VotingResult:

@@ -6,16 +6,14 @@ iteration caps, transcript bookkeeping) as a pure state machine that
 yields typed effects instead of performing I/O.  Everything that used to
 re-implement the loop is now a driver over this core:
 
-* :class:`repro.core.ReActTableAgent` — the trivial sync driver
-  (:func:`run_chain`);
-* the three voting schemes — branch-forking drivers that
-  :meth:`ChainEngine.clone` engine state;
-* the Codex-CoT baseline — :func:`drive` over :class:`CoTEngine`;
-* the chaos harness — injects at the effect boundary
-  (:class:`repro.faults.FaultyEffectHandler`);
-* :class:`repro.aio.AsyncChainDriver` — runs many engines in lock-step
-  ticks, coalescing pending model calls into batched ``complete_batch``
-  round-trips and stepping chains in the same state once.
+* :class:`ChainDriver` — the one pump: runs any number of engines, of
+  any strategy, in lock-step ticks, coalescing pending model calls into
+  batched ``complete_batch`` round-trips and stepping chains in the same
+  state once.  :class:`repro.core.ReActTableAgent` runs each chain
+  through it, and :class:`repro.aio.AsyncChainDriver` awaits the same
+  tick loop;
+* the tree and execution voters — branch-forking drivers that
+  :meth:`ChainEngine.clone` engine state.
 
 See ``docs/architecture.md`` §10 for the effect-flow diagram.
 """
@@ -27,7 +25,7 @@ from repro.engine.chain_of_table import (
 from repro.engine.commented import CommentedCodeEngine
 from repro.engine.core import HARD_ITERATION_CAP, ChainEngine
 from repro.engine.cot import CoTEngine
-from repro.engine.driver import EffectHandler, drive, run_chain
+from repro.engine.driver import ChainDriver, EffectHandler
 from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
 from repro.engine.result import AgentResult
 
@@ -44,6 +42,5 @@ __all__ = [
     "ModelResult",
     "ExecResult",
     "EffectHandler",
-    "run_chain",
-    "drive",
+    "ChainDriver",
 ]

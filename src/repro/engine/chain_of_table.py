@@ -12,8 +12,9 @@ an operator action into the plan step it denotes, whose rendered
 SQL/Python becomes a standard :class:`~repro.engine.effects.Execute`
 effect.  Everything else — the forcing ladder, transcript bookkeeping,
 iteration caps, clone semantics for branch-forking voters — is
-inherited, so every existing driver (``run_chain``, the batched chain
-driver, the voters) drives this engine unchanged.
+inherited, so every driver (the tick loop of
+:class:`~repro.engine.driver.ChainDriver`, the voters) drives this
+engine unchanged.
 
 An operator that does not parse or does not lower is handled like an
 unusable completion: the event is logged and the chain forces a direct

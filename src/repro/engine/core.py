@@ -13,10 +13,11 @@ Instead it exposes typed effects (:class:`~repro.engine.effects.ModelCall`,
 
 Two usage styles:
 
-* **Ladder mode** — drive the full agent loop: while ``state`` is not
+* **Ladder mode** — the full agent loop: while ``state`` is not
   ``"done"``, take ``next_effect()``, perform it, ``send()`` the reply.
-  This replicates ``ReActTableAgent``'s chain semantics bit for bit
-  (same forcing ladder, same events, same transcript bookkeeping).
+  The tick loop of :class:`repro.engine.ChainDriver` is the one driver
+  that does this (same forcing ladder, same events, same transcript
+  bookkeeping as the legacy loop).
 * **Branch mode** — voting drivers that fork the search tree use the
   passive primitives instead: :meth:`prompt_effect`,
   :meth:`execute_effect`, :meth:`apply` and :meth:`clone`.  ``clone``
@@ -25,9 +26,9 @@ Two usage styles:
 
 The engine also buffers *trace notes* — the flat ``ChainTracer`` events
 the legacy loop emitted inline ("prompt", "action", "execution", ...).
-Drivers with a tracer drain them via :meth:`drain_notes` and forward
-them; drivers without one drain and drop them.  Buffering keeps the
-engine free of tracer plumbing while preserving the exact event stream.
+The tick loop drains them via :meth:`drain_notes` and forwards them to
+its tracer, if it has one.  Buffering keeps the engine free of tracer
+plumbing while preserving the exact event stream.
 """
 
 from __future__ import annotations
@@ -98,17 +99,6 @@ class ChainEngine:
         if self._result is None:
             raise EngineProtocolError("chain has not finished")
         return self._result
-
-    @property
-    def next_iteration(self) -> int:
-        """The iteration index the next model call belongs to.
-
-        Valid while waiting for a model call; drivers use it to open the
-        ``iteration`` telemetry span *before* the prompt is built.
-        """
-        if isinstance(self._pending, ModelCall):
-            return self._pending.iteration
-        return self.iterations + 1
 
     @property
     def depth(self) -> int:

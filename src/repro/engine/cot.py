@@ -4,7 +4,8 @@ One model call produces the whole action sequence; the engine then
 yields one :class:`~repro.engine.effects.Execute` effect per code block,
 tolerating block failures ("the generated code is executed to obtain the
 final answer" — a failed block is noted and skipped, never forced).
-Driven by :func:`repro.engine.driver.drive`.
+Driven by :class:`repro.engine.driver.ChainDriver`, whose tick runs
+the execute effects of one reply in turn.
 """
 
 from __future__ import annotations

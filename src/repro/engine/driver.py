@@ -6,15 +6,42 @@ The split of responsibilities after the sans-IO refactor:
 * :class:`EffectHandler` — *how* one effect is performed (the only place
   in the agent stack that calls ``LanguageModel.complete`` or
   ``CodeExecutor.execute``; ``tools/lint_effects.py`` enforces this);
-* :func:`run_chain` / :func:`drive` — *when* effects are performed (the
-  sequencing policy: one chain at a time here, lock-step ticks of
-  coalesced calls in :class:`repro.aio.AsyncChainDriver`).
+* :class:`ChainDriver` — *when* effects are performed: every chain, one
+  or many, greedy or sampled, of any strategy, steps through its tick
+  loop, the only code that calls ``next_effect()``.
+
+**A tick.**  Every unfinished chain contributes its engine's pending
+model call; identical ``(prompt, temperature)`` pairs coalesce into one
+:class:`~repro.llm.base.CompletionRequest` whose ``n`` sums the chains'
+(first-seen order), and the tick goes out as one ``model_batch``.
+Completions are sliced back to the chains in order (a short slice
+reaches the engine's forcing ladder), then each engine takes its reply
+and runs its execute effects inline.  The tick is one ``iteration``
+span, and each engine's ``ChainTracer`` notes leave from here.
+
+**Shared states.**  The chains of an s-vote hold the same state most of
+the time.  Fresh engines that can diverge only through their completions
+(same class, prompt builder, prompt hook, sampling and iteration
+settings, question and T0) run as one engine, which builds one prompt
+per tick and executes each step once for all its chains.  When its
+chains receive different completions it forks: the first distinct
+completion keeps the engine and each other one takes a twin
+(:meth:`~repro.engine.ChainEngine.fork`) made before any reply is sent.
+Every chain reports its engine's result.
+
+**Order.**  The next tick visits the chains in the order this one handed
+out completions, request by request and slot by slot.  The model's
+draws follow its call sequence, so with a fixed order the same
+``complete_batch`` calls reach it on every run and even sampled
+(temperature > 0) chains draw bit-identically (pinned against the
+lock-step reference in ``tests/engine/lockstep.py`` by
+``tests/aio/test_driver.py``).  A model or executor exception leaves
+the run; nothing else is left running.
 
 ``EffectHandler`` also owns telemetry attribution: every model call —
-whether it comes from the greedy agent, a voting branch or a batched
-tick — runs inside a ``model_call`` span with prompt/completion token
-counts, so cost fold-up works uniformly (voted runs used to bypass the
-spans and under-report tokens).
+whether it comes from a chain's tick, a voting branch or the reflection
+call — runs inside a ``model_call`` span with prompt/completion token
+counts, so cost fold-up works uniformly.
 """
 
 from __future__ import annotations
@@ -30,7 +57,7 @@ from repro.llm.base import Completion, CompletionRequest, LanguageModel
 from repro.telemetry.cost import estimate_tokens
 from repro.telemetry.spans import span
 
-__all__ = ["EffectHandler", "run_chain", "drive"]
+__all__ = ["EffectHandler", "ChainDriver"]
 
 
 class EffectHandler:
@@ -127,7 +154,56 @@ class EffectHandler:
         return ExecResult(outcome=outcome)
 
 
-def _flush_notes(engine: ChainEngine, tracer) -> None:
+def _merge_fresh(engines) -> list:
+    """Each chain's engine, with interchangeable fresh engines merged.
+
+    Engines that have not started and agree on everything but their
+    future completions become one engine; anything else (a started
+    chain, a CoT-family engine) keeps its own.
+    """
+    merged: dict[tuple, ChainEngine] = {}
+    chains = []
+    for engine in engines:
+        if (isinstance(engine, ChainEngine) and engine.iterations == 0
+                and engine.depth == 0):
+            t0 = engine.transcript.t0
+            key = (type(engine), id(engine.prompt_builder),
+                   id(engine.prompt_hook), engine.temperature, engine.n,
+                   engine.max_iterations, engine.hard_cap,
+                   engine.transcript.question, t0.name,
+                   t0.content_digest())
+            engine = merged.setdefault(key, engine)
+        chains.append(engine)
+    return chains
+
+
+def _fork(chains: list, handed: list) -> list:
+    """Split shared engines whose chains got different completions.
+
+    ``handed`` is ``(chain index, completions)`` in hand-out order.  The
+    first distinct completion text of an engine keeps it; each other one
+    takes a twin, forked before any reply is sent.  Rebinds ``chains``
+    and returns one ``(engine, completions)`` reply per state, in
+    hand-out order.
+    """
+    branches: dict[tuple, ChainEngine] = {}
+    kept: set[int] = set()
+    replies = []
+    for index, completions in handed:
+        engine = chains[index]
+        key = (id(engine), tuple(c.text for c in completions))
+        branch = branches.get(key)
+        if branch is None:
+            branch = engine.fork() if id(engine) in kept else engine
+            kept.add(id(engine))
+            branches[key] = branch
+            replies.append((branch, completions))
+        chains[index] = branch
+    return replies
+
+
+def _flush_notes(engine, tracer) -> None:
+    """Drain the engine's trace notes, forwarding them to ``tracer``."""
     notes = engine.drain_notes()
     if tracer is None:
         return
@@ -138,39 +214,92 @@ def _flush_notes(engine: ChainEngine, tracer) -> None:
             tracer.emit(kind, iteration, **data)
 
 
-def run_chain(engine: ChainEngine, handler: EffectHandler, *,
-              tracer=None) -> AgentResult:
-    """The trivial sync driver: ``ReActTableAgent``'s chain semantics.
+class ChainDriver:
+    """Drive engines in lock-step ticks, one engine per distinct state.
 
-    Opens one ``iteration`` span per pass (prompt assembly happens
-    inside it, exactly as the legacy loop did) and forwards the engine's
-    buffered trace notes to ``tracer`` at each boundary, preserving the
-    original event stream.
+    The only code that steps an engine (``tools/lint_effects.py``).
+    ``handler`` performs the effects; ``tracer``, an optional
+    :class:`~repro.tracing.ChainTracer`, receives every engine's notes.
+    :meth:`run` performs each tick's model batch directly;
+    :class:`repro.aio.AsyncChainDriver` awaits it instead.  ``ticks``
+    counts round-trips and ``requests`` the coalesced requests inside
+    them — the coalescing evidence.
     """
-    while engine.state != "done":
-        with span("iteration", index=engine.next_iteration):
-            effect = engine.next_effect()
-            _flush_notes(engine, tracer)           # "prompt"
-            engine.send(handler.model_call(effect))
-            _flush_notes(engine, tracer)           # "action" / faults / "end"
-            if engine.state == "exec":
-                engine.send(handler.execute(engine.next_effect()))
-                _flush_notes(engine, tracer)       # "execution" / "recovery"
-    return engine.result
 
+    def __init__(self, handler: EffectHandler, *, tracer=None):
+        self.handler = handler
+        self.tracer = tracer
+        self.ticks = 0
+        self.requests = 0
 
-def drive(engine, handler: EffectHandler) -> AgentResult:
-    """Minimal effect pump for engines without per-iteration spans.
+    def _ticks(self, engines):
+        """The tick loop: yields each tick's requests, is sent their
+        completion lists, returns the results in input order.
 
-    Used by drivers whose telemetry shape differs from the agent loop
-    (the CoT baseline's single completion, tests).  Model calls still go
-    through the handler's ``model_call`` spans.
-    """
-    while engine.state != "done":
-        effect = engine.next_effect()
-        if isinstance(effect, ModelCall):
-            engine.send(handler.model_call(effect))
-        else:
-            engine.send(handler.execute(effect))
-        engine.drain_notes()
-    return engine.result
+        Each tick runs in one ``iteration`` span, indexed by tick, and
+        the notes go out after the prompts, after each reply and after
+        each execution.  A span opened here closes in the pump's
+        context, so the pump throws its exceptions back in.
+        """
+        tracer, execute = self.tracer, self.handler.execute
+        chains = list(engines)
+        # One chain has nothing to share: skip T0's digest and the
+        # completion-text keys.
+        single = len(chains) == 1
+        if not single:
+            chains = _merge_fresh(chains)
+        order = [index for index, engine in enumerate(chains)
+                 if engine.state != "done"]
+        tick = 0
+        while order:
+            tick += 1
+            with span("iteration", index=tick):
+                groups: dict[tuple[str, float], list] = {}
+                for index in order:
+                    engine = chains[index]
+                    effect = engine.next_effect()
+                    _flush_notes(engine, tracer)       # "prompt"
+                    groups.setdefault((effect.prompt, effect.temperature),
+                                      []).append((index, effect.n))
+                requests = [CompletionRequest(prompt=prompt,
+                                              temperature=temperature,
+                                              n=sum(n for _, n in members))
+                            for (prompt, temperature), members
+                            in groups.items()]
+                self.ticks += 1
+                self.requests += len(requests)
+                batches = yield requests
+                handed = []
+                for members, batch in zip(groups.values(), batches):
+                    offset = 0
+                    for index, n in members:
+                        handed.append(
+                            (index, tuple(batch[offset:offset + n])))
+                        offset += n
+                replies = ([(chains[index], completions)
+                            for index, completions in handed]
+                           if single else _fork(chains, handed))
+                for engine, completions in replies:
+                    engine.send(ModelResult(completions))
+                    _flush_notes(engine, tracer)   # "action" / "end"
+                    while engine.state == "exec":
+                        engine.send(execute(engine.next_effect()))
+                        _flush_notes(engine, tracer)   # "execution"
+            order = [index for index, _ in handed
+                     if chains[index].state != "done"]
+        return [engine.result for engine in chains]
+
+    def run(self, engines) -> list[AgentResult]:
+        """Drive every engine to completion; results in input order."""
+        ticks = self._ticks(engines)
+        resume, value = ticks.send, None
+        while True:
+            try:
+                requests = resume(value)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                value = self.handler.model_batch(requests)
+                resume = ticks.send
+            except BaseException as exc:
+                resume, value = ticks.throw, exc

@@ -2,16 +2,14 @@
 
 Everything the robustness story rests on: seeded per-call fault schedules
 (:mod:`~repro.faults.plan`), injector wrappers for the model and executor
-boundaries (:mod:`~repro.faults.injectors`), a single-seam injector for
-sans-IO engine drivers (:mod:`~repro.faults.effects`), and a spec harness
-that installs them behind the serving pool (:mod:`~repro.faults.harness`).
+boundaries (:mod:`~repro.faults.injectors`), and a spec harness that
+installs them behind the serving pool (:mod:`~repro.faults.harness`).
 Schedules are pure functions of ``(seed, site, call index)`` — chaos runs
 replay bit-identically, and a zero-rate injector is a pure pass-through.
 
 Drive it from the CLI: ``python -m repro chaos wikitq --rates 0,0.05,0.2``.
 """
 
-from repro.faults.effects import FaultyEffectHandler
 from repro.faults.harness import FaultyAgentSpec
 from repro.faults.injectors import FaultyExecutor, FaultyModel
 from repro.faults.plan import (
@@ -28,6 +26,5 @@ __all__ = [
     "FaultPlan",
     "FaultyModel",
     "FaultyExecutor",
-    "FaultyEffectHandler",
     "FaultyAgentSpec",
 ]

@@ -33,7 +33,7 @@ class Completion:
 class CompletionRequest:
     """One logical completion request inside a coalesced batch.
 
-    The batched chain driver (:class:`repro.aio.AsyncChainDriver`)
+    The chain driver's tick loop (:class:`repro.engine.ChainDriver`)
     collects one tick's pending model calls, across its chains, into a
     list of these and submits them through
     :meth:`LanguageModel.complete_batch` — identical prompts are merged

@@ -34,8 +34,7 @@ from repro.core.prompt import (
     _REFLECTION_SUFFIX,
     _TABLE_MARKER,
 )
-from repro.engine.core import ChainEngine
-from repro.engine.driver import EffectHandler, drive, run_chain
+from repro.engine.driver import ChainDriver, EffectHandler
 from repro.engine.effects import ModelCall
 from repro.errors import ExecutionError, ReflectionUnsupportedError
 from repro.perf.encode_cache import encode_head_row_cached
@@ -140,29 +139,25 @@ class ReflectEngine:
                         f"({report.category}); take smaller, verified "
                         f"steps this time.")
 
-    @staticmethod
-    def _drive(engine, handler: EffectHandler):
-        # run_chain assumes the strict alternating chain shape; CoT-family
-        # engines (one completion, several execute effects) take the
-        # generic pump instead — the same dispatch the agents use.
-        if isinstance(engine, ChainEngine):
-            return run_chain(engine, handler)
-        return drive(engine, handler)
-
     def _rerun(self, runner, table: DataFrame, question: str, hook,
                handler: EffectHandler):
-        """Re-run the chain(s) with the reflections hook installed."""
+        """Re-run the chain(s) with the reflections hook installed.
+
+        Each chain runs in its own tick loop, one after another, so the
+        model's draws follow the order of the sequential voter.
+        """
+        driver = ChainDriver(handler)
         if hasattr(runner, "chain_engines"):
             engines = runner.chain_engines(table, question)
             for engine in engines:
                 engine.prompt_hook = hook
             with span("vote_run", method="s-vote", n=runner.n):
-                results = [self._drive(engine, handler)
-                           for engine in engines]
+                results = [driver.run([engine])[0] for engine in engines]
             return runner.tally(results)
         engine = runner.engine_for(table, question)
         engine.prompt_hook = hook
         with span("agent_run", trace_id=None) as root:
             if root is not None:
                 root.set(question=question[:120])
-            return self._drive(engine, handler)
+            (result,) = driver.run([engine])
+            return result

@@ -8,10 +8,10 @@ with the best strategy of each suite underneath.
 
 from __future__ import annotations
 
+from repro.core.agent import ReActTableAgent
 from repro.datasets import generate_dataset
 from repro.evalkit import evaluate_agent
 from repro.llm import SimulatedTQAModel, get_profile
-from repro.strategies.agent import StrategyAgent
 from repro.strategies.registry import strategy_names
 
 __all__ = ["DATASETS", "run_matrix", "render_matrix", "best_single"]
@@ -40,7 +40,7 @@ def run_matrix(*, datasets: tuple[str, ...] = DATASETS, size: int = 60,
         for name in names:
             model = SimulatedTQAModel(benchmark.bank, get_profile(profile),
                                       seed=model_seed)
-            agent = StrategyAgent(model, strategy=name)
+            agent = ReActTableAgent(model, strategy=name)
             cells[name] = evaluate_agent(agent, benchmark).accuracy
         results[dataset] = cells
     return results

@@ -120,11 +120,8 @@ class RowContext:
         if self.joined:
             name = resolve_joined_ref(self.row._frame, ref)
             return self.row[name]
-        if ref.table and self.table_alias and ref.table != self.table_alias:
-            # A qualified reference to an unknown table (e.g. a stale alias)
-            # is still resolved by column name, matching SQLite's laxness
-            # with single-table queries, unless the column is absent.
-            pass
+        # A qualifier naming no FROM table was refused when the
+        # statement was checked, so the column name alone resolves.
         try:
             return self.row[ref.name]
         except KeyError:
@@ -161,8 +158,6 @@ class GroupContext:
 
     def aggregate(self, call: FunctionCall):
         name = call.name.lower()
-        if name == "total":
-            name = "sum"
         if name == "group_concat":
             values = self._argument_values(call)
             present = [str(v) for v in values if not is_missing(v)]
@@ -178,6 +173,10 @@ class GroupContext:
                     seen.add(key)
                     unique.append(value)
             values = unique
+        if name == "total":
+            # SQLite's TOTAL: SUM as a float, 0.0 over no values.
+            total = aggregate_values("sum", values)
+            return 0.0 if total is None else float(total)
         return aggregate_values(name, values)
 
     def _argument_values(self, call: FunctionCall) -> list:

@@ -111,12 +111,16 @@ class FrameShape:
     "cannot prove safe".
     """
 
-    __slots__ = ("frame", "joined", "_dtypes")
+    __slots__ = ("frame", "joined", "source", "_dtypes")
 
     def __init__(self, frame: DataFrame, *, joined: bool = False,
-                 dtypes: dict[str, ColumnType] | None = None):
+                 dtypes: dict[str, ColumnType] | None = None,
+                 source: str | None = None):
         self.frame = frame
         self.joined = joined
+        #: The FROM table's alias or name, when a check must bind a
+        #: single-table qualifier (``T0.x``) to it.
+        self.source = source
         # Join shapes are built over empty frames, so dtypes come from
         # the source frames via an explicit map.
         self._dtypes = dtypes
@@ -245,10 +249,10 @@ def numeric_kind(expr: Expression, shape: FrameShape, *,
                 return None
             if name == "count":
                 return "int"
-            if name in ("sum", "total", "min", "max"):
+            if name in ("sum", "min", "max"):
                 return numeric_kind(expr.args[0], shape, group=False) \
                     if expr.args else None
-            if name == "avg":
+            if name in ("avg", "total"):
                 arg = numeric_kind(expr.args[0], shape, group=False) \
                     if expr.args else None
                 return "float" if arg is not None else None
@@ -687,13 +691,13 @@ def expand_star(stmt: SelectStatement, frame: DataFrame, *,
 
 def is_aggregate_query(stmt: SelectStatement) -> bool:
     """True when ``stmt`` groups: GROUP BY, or an aggregate in the select
-    list or HAVING."""
+    list.  As in SQLite, HAVING does not make a query aggregate: the
+    check refuses HAVING on any other query."""
     return bool(stmt.group_by) or any(
         expression_uses_aggregate(item.expression)
         for item in stmt.items
         if not isinstance(item.expression, Star)
-    ) or (stmt.having is not None
-          and expression_uses_aggregate(stmt.having))
+    )
 
 
 def _check_expression(expr: Expression, shape: FrameShape, *,
@@ -709,8 +713,10 @@ def _check_expression(expr: Expression, shape: FrameShape, *,
     if isinstance(expr, ColumnRef):
         if shape.joined:
             resolve_joined_ref(shape.frame, expr)
-        elif shape.resolve(expr) is None:
-            raise SQLRuntimeError(f"no such column: {expr.name}")
+        else:
+            _check_qualifier(expr, shape)
+            if shape.resolve(expr) is None:
+                raise SQLRuntimeError(f"no such column: {expr.name}")
         return
     if isinstance(expr, Star):
         raise SQLRuntimeError("'*' is only valid in COUNT(*)")
@@ -738,6 +744,14 @@ def _check_expression(expr: Expression, shape: FrameShape, *,
         function([None] * len(expr.args))
 
 
+def _check_qualifier(ref: ColumnRef, shape: FrameShape) -> None:
+    """Refuse a single-table reference whose qualifier names neither
+    the FROM table nor its alias, as SQLite does."""
+    if (ref.table is not None and shape.source is not None
+            and ref.table.lower() != shape.source.lower()):
+        raise SQLRuntimeError(f"no such column: {ref.table}.{ref.name}")
+
+
 def _check_statement(stmt: SelectStatement,
                      tables: Mapping[str, DataFrame]) -> None:
     """Raise the first error the interpreter would raise on ``stmt``
@@ -748,7 +762,10 @@ def _check_statement(stmt: SelectStatement,
     meets a name when it evaluates a row.  The walk follows the
     executor's pipeline (ON, WHERE, GROUP BY, HAVING, select list, ORDER
     BY) and its alias rules, so a statement that fails on its first row
-    fails here with the same error.
+    fails here with the same error.  It also refuses, with SQLite's
+    messages, two statements the interpreter would run: HAVING on a
+    query that does not aggregate, and a qualifier that names neither
+    the FROM table nor its alias.
     """
     parts = [(stmt.table_alias or stmt.table,
               resolve_table(stmt.table, tables))]
@@ -762,7 +779,8 @@ def _check_statement(stmt: SelectStatement,
         return  # the join's own columns fail before any expression runs
     for join, shape in zip(stmt.joins, shapes):
         _check_expression(join.on, shape, group=False)
-    shape = shapes[-1] if shapes else FrameShape(parts[0][1])
+    shape = shapes[-1] if shapes else FrameShape(parts[0][1],
+                                                 source=parts[0][0])
     if stmt.where is not None:
         _check_expression(stmt.where, shape, group=False)
     items = expand_star(stmt, shape.frame, joined=shape.joined)
@@ -776,12 +794,16 @@ def _check_statement(stmt: SelectStatement,
             elif shape.joined:
                 resolve_joined_ref(shape.frame, key)
             else:
+                _check_qualifier(key, shape)
                 shape.frame.column(key.name)
         if stmt.having is not None:
             _check_expression(resolve_aliases(stmt.having, aliases), shape,
                               group=True)
     for item in items:
         _check_expression(item.expression, shape, group=grouped)
+    if stmt.having is not None and not grouped:
+        # After the select list, where SQLite refuses it too.
+        raise SQLRuntimeError("HAVING clause on a non-aggregate query")
     for order in stmt.order_by:
         expr = order.expression
         if not (isinstance(expr, ColumnRef) and expr.table is None

@@ -858,7 +858,20 @@ def _compile_gv_aggregate(call: FunctionCall, shape: FrameShape):
     from repro.sqlengine.ast_nodes import Star
     name = call.name.lower()
     if name == "total":
-        name = "sum"
+        # SQLite's TOTAL: SUM as a float, 0.0 over no values.
+        summed = _compile_gv_aggregate(
+            FunctionCall("sum", call.args, call.distinct), shape)
+        if summed is None:
+            return None
+
+        def prepare_total(ctx):
+            per_group = summed(ctx)
+
+            def total(indexes):
+                value = per_group(indexes)
+                return 0.0 if value is None else float(value)
+            return total
+        return prepare_total
     if name == "count" and call.args and isinstance(call.args[0], Star):
         return lambda ctx: len
     if len(call.args) != 1:

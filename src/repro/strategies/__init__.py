@@ -14,7 +14,6 @@ in the paper.  See ``docs/architecture.md`` §15.
 """
 
 from repro.strategies import builtin as _builtin  # registers built-ins
-from repro.strategies.agent import StrategyAgent
 from repro.strategies.base import (
     EngineRequest,
     Strategy,
@@ -32,7 +31,6 @@ __all__ = [
     "BUILTIN_STRATEGIES",
     "EngineRequest",
     "Strategy",
-    "StrategyAgent",
     "default_extract_answer",
     "get_strategy",
     "register_strategy",

@@ -1,6 +1,7 @@
-"""Tests for AsyncChainDriver: lock-step ticks over shared chain states.
+"""Tests for the chain drivers: lock-step ticks over shared chain states.
 
-The driver's contract is stronger than "same answers": it must
+``ChainDriver`` (sync) and ``AsyncChainDriver`` (awaited) pump one tick
+loop.  Its contract is stronger than "same answers": it must
 reproduce the lock-step reference's *ticks* (``tests/engine/lockstep.py``)
 — the same ``complete_batch`` call sequence reaching the model — which
 makes even sampled (temperature > 0) chains bit-identical across the two
@@ -11,6 +12,7 @@ requests and every chain ends the same.
 
 import asyncio
 import copy
+import gc
 
 import pytest
 
@@ -20,12 +22,18 @@ from repro.core.prompt import PromptBuilder, Transcript
 from repro.core.voting import SimpleMajorityVoting
 from repro.datasets import generate_dataset
 from repro.datasets.spec import QuestionBank
-from repro.engine import ChainEngine, ChainOfTableEngine, EffectHandler
+from repro.engine import (
+    ChainDriver,
+    ChainEngine,
+    ChainOfTableEngine,
+    EffectHandler,
+)
 from repro.errors import TransientModelError
 from repro.executors.registry import default_registry
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
 from repro.serving import AgentSpec
+from repro.telemetry import Telemetry
 from tests.engine.lockstep import LockStepDriver
 
 ANSWER = "ReAcTable: Answer: ```42```."
@@ -86,6 +94,19 @@ class CountingHandler(EffectHandler):
         return super().model_batch(requests)
 
 
+class StallingModel(AsyncLanguageModel):
+    """Answers the first round-trip, stalls on the second."""
+
+    def __init__(self):
+        self.calls = 0
+
+    async def complete(self, prompt, *, temperature=0.0, n=1):
+        self.calls += 1
+        if self.calls > 1:
+            await asyncio.Event().wait()
+        return [Completion(SQL)] * n
+
+
 def engines_for(model, table, question, count):
     agent = ReActTableAgent(model)
     return [agent.engine_for(table, question) for _ in range(count)]
@@ -102,7 +123,7 @@ class TestGreedyEquivalence:
         agent = ReActTableAgent(model)
         engines = [agent.engine_for(ex.table, ex.question)
                    for ex in examples]
-        results = AsyncChainDriver(model, default_registry()).run_sync(
+        results = ChainDriver(EffectHandler(model, default_registry())).run(
             engines)
 
         for old, new in zip(expected, results):
@@ -128,8 +149,8 @@ class TestSchedulerEquivalence:
 
         model_b = fresh_model(wikitq_small, 5)
         voter_b = SimpleMajorityVoting(model_b, registry=registry, n=5)
-        driver = AsyncChainDriver(model_b, registry)
-        results = driver.run_sync(
+        driver = ChainDriver(EffectHandler(model_b, registry))
+        results = driver.run(
             voter_b.chain_engines(example.table, example.question))
 
         assert [r.answer for r in expected] == [r.answer for r in results]
@@ -150,8 +171,8 @@ class TestSchedulerEquivalence:
 
         model_b = fresh_model(wikitq_small, 3)
         agent_b = ReActTableAgent(model_b)
-        driver = AsyncChainDriver(model_b, registry)
-        results = driver.run_sync([
+        driver = ChainDriver(EffectHandler(model_b, registry))
+        results = driver.run([
             agent_b.engine_for(ex.table, ex.question) for ex in examples])
 
         assert [r.answer for r in expected] == [r.answer for r in results]
@@ -165,9 +186,9 @@ class TestDriverSurface:
             AsyncChainDriver()
 
     def test_empty_engine_list(self, wikitq_small):
-        driver = AsyncChainDriver(fresh_model(wikitq_small, 1),
-                                  default_registry())
-        assert driver.run_sync([]) == []
+        driver = ChainDriver(EffectHandler(fresh_model(wikitq_small, 1),
+                                           default_registry()))
+        assert driver.run([]) == []
         assert driver.ticks == 0
 
     def test_run_inside_a_running_loop(self, wikitq_small):
@@ -214,7 +235,7 @@ class TestCoalescing:
         first, second = "who ranked first?", "which team won?"
         engines = [ReActTableAgent(model).engine_for(cyclists, question)
                    for question in (first, second, first)]
-        AsyncChainDriver(model, default_registry()).run_sync(engines)
+        ChainDriver(EffectHandler(model, default_registry())).run(engines)
         assert [r.n for r in model.batches[0]] == [2, 1]
         questions = [first, first, second]
         assert all(question in request.prompt for question, request
@@ -231,7 +252,7 @@ class TestSharedStates:
                               + [ANSWER] * 5)
         handler = CountingHandler(model, default_registry())
         agent = ReActTableAgent(model, prompt_builder=builder)
-        results = AsyncChainDriver(handler=handler).run_sync(
+        results = ChainDriver(handler).run(
             [agent.engine_for(cyclists, "who ranked first?")
              for _ in range(5)])
         assert builder.builds == 1 + 2      # tick 1, then two states
@@ -270,7 +291,7 @@ class TestSharedStates:
                         temperature=0.6),
         ]
         model = TrackingModel(ScriptedModel([ANSWER] * 6))
-        results = AsyncChainDriver(model, default_registry()).run_sync(
+        results = ChainDriver(EffectHandler(model, default_registry())).run(
             engines)
         assert builder.builds == 5
         assert len({id(result) for result in results}) == 6
@@ -302,8 +323,7 @@ class TestSharedStates:
                         for engine in engines:
                             engine.prompt_builder = copy.copy(
                                 engine.prompt_builder)
-                    results = AsyncChainDriver(handler=handler).run_sync(
-                        engines)
+                    results = ChainDriver(handler).run(engines)
                     runs.append((handler.log, voter.tally(results),
                                  results))
                 (log, tally, shared), (own_log, own_tally, own) = runs
@@ -333,22 +353,10 @@ class TestFailureAndCancellation:
         with pytest.raises(TransientModelError):
             asyncio.run(driver.run(engines))
         with pytest.raises(TransientModelError):
-            driver.run_sync(
+            ChainDriver(EffectHandler(model, default_registry())).run(
                 engines_for(model, cyclists, "who ranked first?", 2))
 
     def test_cancelled_run_leaves_no_task_or_call(self, cyclists):
-        class StallingModel(AsyncLanguageModel):
-            """Answers the first round-trip, stalls on the second."""
-
-            def __init__(self):
-                self.calls = 0
-
-            async def complete(self, prompt, *, temperature=0.0, n=1):
-                self.calls += 1
-                if self.calls > 1:
-                    await asyncio.Event().wait()
-                return [Completion(SQL)] * n
-
         model = StallingModel()
         driver = AsyncChainDriver(
             handler=AsyncEffectHandler(model, default_registry()))
@@ -367,6 +375,37 @@ class TestFailureAndCancellation:
 
         assert asyncio.run(scenario()) == set()
         assert model.calls == 2 and driver.ticks == 2
+
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
+    def test_cancelled_run_closes_its_iteration_span(self, cyclists):
+        """The tick a cancellation interrupts closes its ``iteration``
+        span with an error, in the run's own task context, before the
+        cancellation leaves the run."""
+        model = StallingModel()
+        driver = AsyncChainDriver(
+            handler=AsyncEffectHandler(model, default_registry()))
+        telemetry = Telemetry()
+
+        async def traced_run(engines):
+            with telemetry.activate():
+                return await driver.run(engines)
+
+        async def scenario():
+            task = asyncio.create_task(traced_run(engines_for(
+                ScriptedModel([]), cyclists, "who ranked first?", 3)))
+            while model.calls < 2:
+                await asyncio.sleep(0)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(scenario())
+        gc.collect()
+        iterations = [s for s in telemetry.spans if s.kind == "iteration"]
+        assert [(s.attributes["index"], s.status) for s in iterations] == [
+            (1, "ok"), (2, "error")]
+        assert iterations[1].attributes["error"] == "CancelledError"
 
 
 class TestStarvedTail:

@@ -10,7 +10,7 @@ requests.
 
 import asyncio
 
-from repro.serving import AgentSpec, TQARequest
+from repro.serving import AgentSpec, TQARequest, WorkerPool
 from repro.aio import AsyncServer
 from repro.telemetry import Telemetry
 
@@ -104,3 +104,81 @@ class TestInterleavedSpanTrees:
             assert root.attributes["attempts"] == 1
             assert root.status == "ok"
         assert responses
+
+
+def span_shapes(telemetry):
+    """Each request's span tree as nested ``(kind, children)`` tuples,
+    children in opening order, keyed by the request's uid."""
+    children = {}
+    for s in sorted(telemetry.spans, key=lambda s: s.span_id):
+        children.setdefault(s.parent_id, []).append(s)
+
+    def shape(s):
+        return (s.kind, tuple(shape(child)
+                              for child in children.get(s.span_id, ())))
+
+    return {root.attributes["uid"]: shape(root)
+            for root in children[None]}
+
+
+def kinds_below(tree, kind):
+    """The kinds of every span under the first ``kind`` span of a tree."""
+    found, stack = set(), [tree]
+    while stack:
+        node_kind, nodes = stack.pop()
+        if node_kind == kind:
+            below = list(nodes)
+            while below:
+                inner_kind, inner = below.pop()
+                found.add(inner_kind)
+                below.extend(inner)
+            return found
+        stack.extend(nodes)
+    return None
+
+
+class TestServerSpanTreeParity:
+    def test_both_servers_open_the_same_chain_spans(self, wikitq_small):
+        """One greedy request gets the same span tree on the pool and
+        the async server: request → attempt → agent_run → iteration →
+        model_call, with the SQL and Python stages under the iterations.
+        A CoT chain opens its iteration span too."""
+        examples = wikitq_small.examples[:16]
+
+        def pool_shapes(spec):
+            telemetry = Telemetry()
+            with WorkerPool(spec, workers=1, telemetry=telemetry) as pool:
+                for slot in [pool.submit(ex.table, ex.question, seed=1,
+                                         uid=ex.uid) for ex in examples]:
+                    slot.result(timeout=60)
+            return span_shapes(telemetry)
+
+        def async_shapes(spec):
+            telemetry = Telemetry()
+
+            async def scenario():
+                async with AsyncServer(spec, max_inflight=4,
+                                       telemetry=telemetry) as server:
+                    await asyncio.gather(*(server.answer(TQARequest(
+                        table=ex.table, question=ex.question, seed=1,
+                        uid=ex.uid)) for ex in examples))
+
+            asyncio.run(scenario())
+            return span_shapes(telemetry)
+
+        for strategy in ("react", "cot"):
+            spec = AgentSpec(bank=wikitq_small.bank, strategy=strategy)
+            pool, served = pool_shapes(spec), async_shapes(spec)
+            assert served == pool, strategy
+            stages = set()
+            for tree in pool.values():
+                request, (attempt,) = tree
+                assert (request, attempt[0]) == ("request", "attempt")
+                ((agent_run, iterations),) = attempt[1]
+                assert agent_run == "agent_run"
+                assert iterations and all(
+                    kind == "iteration" for kind, _ in iterations)
+                for _, below in iterations:
+                    assert below[0][0] == "model_call"
+                stages |= kinds_below(tree, "agent_run")
+            assert {"sql_execute", "python_exec"} <= stages, strategy

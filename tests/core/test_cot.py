@@ -1,10 +1,14 @@
-"""Tests for the Codex-CoT baseline agent."""
+"""Tests for the Codex-CoT baseline: the agent under ``strategy="cot"``."""
 
-from repro.core import CodexCoTAgent
+from repro.core import ReActTableAgent
 from repro.llm import ScriptedModel
 
 
 QUESTION = "which country had the most cyclists finish in the top 10?"
+
+
+def cot_agent(model):
+    return ReActTableAgent(model, strategy="cot")
 
 
 class TestCodexCoT:
@@ -17,7 +21,7 @@ class TestCodexCoT:
             "axis=1)```.\n"
             "ReAcTable: Answer: ```ESP```.",
         ])
-        result = CodexCoTAgent(model).run(cyclists, QUESTION)
+        result = cot_agent(model).run(cyclists, QUESTION)
         assert result.answer == ["ESP"]
         assert result.iterations == 1           # one LLM call
         assert len(model.prompts) == 1
@@ -25,7 +29,7 @@ class TestCodexCoT:
 
     def test_prompt_is_cot_style(self, cyclists):
         model = ScriptedModel(["ReAcTable: Answer: ```x```."])
-        CodexCoTAgent(model).run(cyclists, QUESTION)
+        cot_agent(model).run(cyclists, QUESTION)
         assert "in a single response" in model.prompts[0]
         assert "Intermediate table" not in model.prompts[0]
 
@@ -34,7 +38,7 @@ class TestCodexCoT:
             "ReAcTable: SQL: ```SELECT Nope FROM T0;```.\n"
             "ReAcTable: Answer: ```blind guess```.",
         ])
-        result = CodexCoTAgent(model).run(cyclists, QUESTION)
+        result = cot_agent(model).run(cyclists, QUESTION)
         assert result.answer == ["blind guess"]
         assert any("failed" in event
                    for event in result.handling_events)
@@ -43,7 +47,7 @@ class TestCodexCoT:
         model = ScriptedModel([
             "ReAcTable: SQL: ```SELECT Cyclist FROM T0;```.",
         ])
-        result = CodexCoTAgent(model).run(cyclists, QUESTION)
+        result = cot_agent(model).run(cyclists, QUESTION)
         assert result.answer == []
 
     def test_blank_and_garbage_lines_skipped(self, cyclists):
@@ -51,7 +55,7 @@ class TestCodexCoT:
             "\nsome reasoning prose\n"
             "ReAcTable: Answer: ```fine```.\n",
         ])
-        result = CodexCoTAgent(model).run(cyclists, QUESTION)
+        result = cot_agent(model).run(cyclists, QUESTION)
         assert result.answer == ["fine"]
 
     def test_stops_at_first_answer(self, cyclists):
@@ -59,5 +63,5 @@ class TestCodexCoT:
             "ReAcTable: Answer: ```first```.\n"
             "ReAcTable: Answer: ```second```.",
         ])
-        result = CodexCoTAgent(model).run(cyclists, QUESTION)
+        result = cot_agent(model).run(cyclists, QUESTION)
         assert result.answer == ["first"]

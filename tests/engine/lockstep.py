@@ -6,7 +6,7 @@ unfinished engine's model call, merge identical ``(prompt,
 temperature)`` pairs into one request with a summed ``n`` (first-seen
 order), send the tick as one ``complete_batch`` round-trip, slice the
 completions back out in collection order, then drain execute effects.
-``tests/aio/test_driver.py`` pins that :class:`repro.aio.AsyncChainDriver`
+``tests/aio/test_driver.py`` pins that :class:`repro.engine.ChainDriver`
 reproduces these ticks, and so the model's draws, bit for bit.
 
 Do not "improve" this module: its value is being a fixed reference.

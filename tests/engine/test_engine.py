@@ -11,12 +11,11 @@ from repro.core.actions import ActionKind
 from repro.core.prompt import PromptBuilder, Transcript
 from repro.engine import (
     HARD_ITERATION_CAP,
+    ChainDriver,
     ChainEngine,
     EffectHandler,
     Execute,
     ModelCall,
-    drive,
-    run_chain,
 )
 from repro.engine.effects import ExecResult, ModelResult
 from repro.errors import EngineProtocolError, SQLExecutionError
@@ -160,22 +159,12 @@ class TestLadder:
 
 
 class TestDrivers:
-    def test_run_chain_matches_drive(self, cyclists):
-        registry = default_registry()
-        outputs = [SQL, ANSWER]
-        a = run_chain(make_engine(cyclists),
-                      EffectHandler(ScriptedModel(list(outputs)), registry))
-        b = drive(make_engine(cyclists),
-                  EffectHandler(ScriptedModel(list(outputs)), registry))
-        assert a.answer == b.answer == ["42"]
-        assert a.iterations == b.iterations == 2
-
     def test_handler_envelope_controls_absorption(self, cyclists):
         registry = default_registry()
         handler = EffectHandler(
             ScriptedModel(["ReAcTable: SQL: ```no such sql```.", ANSWER]),
             registry)
-        result = run_chain(make_engine(cyclists), handler)
+        (result,) = ChainDriver(handler).run([make_engine(cyclists)])
         # The broken SQL was absorbed as an ExecutionError and forced.
         assert result.forced and result.answer == ["42"]
         assert any("execution failed" in e for e in result.handling_events)

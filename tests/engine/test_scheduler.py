@@ -1,4 +1,4 @@
-"""Tests for the batched chain driver, ``AsyncChainDriver.run_sync``.
+"""Tests for the chain driver's tick loop, ``ChainDriver.run``.
 
 Covers the coalescing mechanics (identical pending prompts merge into
 one request), the greedy-equivalence contract (temperature-0 chains are
@@ -7,9 +7,9 @@ path, the mis-sized-batch absorption contract, and the serving-pool
 ``batch_scheduler`` wiring.
 """
 
-from repro.aio import AsyncChainDriver
 from repro.core.agent import ReActTableAgent
 from repro.core.voting import SimpleMajorityVoting
+from repro.engine import ChainDriver, EffectHandler
 from repro.executors.registry import default_registry
 from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel, ScriptedModel
@@ -47,8 +47,8 @@ def engines_for(model, table, question, count, **agent_kwargs):
 class TestCoalescing:
     def test_identical_prompts_merge_into_one_request(self, cyclists):
         model = TrackingModel(ScriptedModel([ANSWER] * 3))
-        driver = AsyncChainDriver(model, default_registry())
-        results = driver.run_sync(
+        driver = ChainDriver(EffectHandler(model, default_registry()))
+        results = driver.run(
             engines_for(model, cyclists, "who ranked first?", 3))
         assert [r.answer for r in results] == [["42"]] * 3
         # Three chains, one tick, ONE coalesced request of n=3.
@@ -60,11 +60,11 @@ class TestCoalescing:
 
     def test_distinct_prompts_stay_separate(self, cyclists):
         model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
-        driver = AsyncChainDriver(model, default_registry())
+        driver = ChainDriver(EffectHandler(model, default_registry()))
         agent = ReActTableAgent(model)
         engines = [agent.engine_for(cyclists, "who ranked first?"),
                    agent.engine_for(cyclists, "which team won?")]
-        driver.run_sync(engines)
+        driver.run(engines)
         assert driver.ticks == 1 and driver.requests == 2
         assert [req.n for req in model.batches[0]] == [1, 1]
 
@@ -72,8 +72,8 @@ class TestCoalescing:
         # One chain takes a code step, the other answers immediately;
         # the survivor keeps running alone on later ticks.
         model = TrackingModel(ScriptedModel([SQL, ANSWER, ANSWER]))
-        driver = AsyncChainDriver(model, default_registry())
-        results = driver.run_sync(
+        driver = ChainDriver(EffectHandler(model, default_registry()))
+        results = driver.run(
             engines_for(model, cyclists, "who ranked first?", 2))
         assert driver.ticks == 2
         # Tick 1: one coalesced request (n=2). Tick 2: the SQL chain only.
@@ -100,8 +100,8 @@ class TestGreedyEquivalence:
         agent = ReActTableAgent(batched_model)
         engines = [agent.engine_for(ex.table, ex.question)
                    for ex in examples]
-        results = AsyncChainDriver(batched_model,
-                                   default_registry()).run_sync(engines)
+        results = ChainDriver(
+            EffectHandler(batched_model, default_registry())).run(engines)
 
         for old, new in zip(expected, results):
             assert new.answer == old.answer
@@ -158,8 +158,8 @@ class TestMisSizedBatch:
                 return [Completion(ANSWER)] * n
 
         model = StarvingModel()
-        driver = AsyncChainDriver(model, default_registry())
-        results = driver.run_sync(
+        driver = ChainDriver(EffectHandler(model, default_registry()))
+        results = driver.run(
             engines_for(model, cyclists, "who ranked first?", 2))
         # The first chain got its completion; the starved tail chain fell
         # onto the forcing ladder and recovered on the next tick.

@@ -1,7 +1,7 @@
 """Batched-driver edge cases: coalescing keys, retirement, chaos.
 
 Companions to ``test_scheduler.py``'s happy-path equivalence suite for
-``AsyncChainDriver.run_sync``; these pin its tick-boundary contracts — a
+``ChainDriver.run``; these pin its tick-boundary contracts — a
 tick whose members all share one ``(prompt, temperature)`` key is a
 single logical request, finished chains leave the tick population
 immediately, and a :class:`FaultyModel` (one fault draw per logical
@@ -11,9 +11,8 @@ as scheduled.
 
 import pytest
 
-from repro.aio import AsyncChainDriver
 from repro.core.agent import ReActTableAgent
-from repro.engine import EffectHandler, run_chain
+from repro.engine import ChainDriver, EffectHandler
 from repro.errors import TransientModelError
 from repro.executors.registry import ExecutorRegistry, default_registry
 from repro.faults import FaultConfig, FaultPlan, FaultyExecutor, FaultyModel
@@ -53,8 +52,8 @@ class TestSingleKeyTicks:
         """Five identical chains: the tick carries exactly one
         CompletionRequest with the summed n, never five."""
         model = TrackingModel(ScriptedModel([ANSWER] * 5))
-        driver = AsyncChainDriver(model, default_registry())
-        results = driver.run_sync(
+        driver = ChainDriver(EffectHandler(model, default_registry()))
+        results = driver.run(
             engines_for(model, cyclists, "who ranked first?", 5))
         assert [r.answer for r in results] == [["42"]] * 5
         assert driver.ticks == 1 and driver.requests == 1
@@ -66,8 +65,8 @@ class TestSingleKeyTicks:
         model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
         hot = ReActTableAgent(model, temperature=0.6)
         cold = ReActTableAgent(model)
-        driver = AsyncChainDriver(model, default_registry())
-        results = driver.run_sync([
+        driver = ChainDriver(EffectHandler(model, default_registry()))
+        results = driver.run([
             cold.engine_for(cyclists, "who ranked first?"),
             hot.engine_for(cyclists, "who ranked first?")])
         assert [r.answer for r in results] == [["42"], ["42"]]
@@ -80,8 +79,8 @@ class TestRetirement:
         """One chain answers on tick 1 and retires; tick 2 goes out with
         only the survivor — the retiree's slot is not re-polled."""
         model = TrackingModel(ScriptedModel([SQL, ANSWER, ANSWER]))
-        driver = AsyncChainDriver(model, default_registry())
-        results = driver.run_sync(
+        driver = ChainDriver(EffectHandler(model, default_registry()))
+        results = driver.run(
             engines_for(model, cyclists, "who ranked first?", 2))
         assert [r.answer for r in results] == [["42"], ["42"]]
         assert results[0].iterations == 2 and results[1].iterations == 1
@@ -93,10 +92,10 @@ class TestRetirement:
         model = TrackingModel(ScriptedModel([ANSWER, ANSWER]))
         done, fresh = engines_for(model, cyclists, "who ranked first?", 2)
         # Drive the first engine to completion outside the driver.
-        run_chain(done, EffectHandler(model, default_registry()))
+        ChainDriver(EffectHandler(model, default_registry())).run([done])
         assert done.state == "done"
-        results = AsyncChainDriver(
-            model, default_registry()).run_sync([done, fresh])
+        results = ChainDriver(
+            EffectHandler(model, default_registry())).run([done, fresh])
         assert len(results) == 2
         assert [r.answer for r in results] == [["42"], ["42"]]
 
@@ -116,13 +115,13 @@ class TestFaultyHandlerThroughTheScheduler:
             SimulatedTQAModel(wikitq_small.bank,
                               get_profile("codex-sim"), seed=1),
             plan, on_fault=lambda *a: faults.append(a))
-        driver = AsyncChainDriver(model, default_registry())
+        driver = ChainDriver(EffectHandler(model, default_registry()))
         agent = ReActTableAgent(model)
         example = wikitq_small.examples[0]
         engines = [agent.engine_for(example.table, example.question)
                    for _ in range(3)]
         with pytest.raises(TransientModelError):
-            driver.run_sync(engines)
+            driver.run(engines)
         assert faults and faults[0][1] == "transient"
 
     def test_chaos_plan_is_deterministic_through_the_batch_seam(
@@ -144,13 +143,13 @@ class TestFaultyHandlerThroughTheScheduler:
             registry = ExecutorRegistry(
                 FaultyExecutor(executor, plan, on_fault=record)
                 for executor in default_registry())
-            driver = AsyncChainDriver(model, registry)
+            driver = ChainDriver(EffectHandler(model, registry))
             agent = ReActTableAgent(model, registry=registry)
             engines = []
             for example in wikitq_small.examples[:6]:
                 engines.append(
                     agent.engine_for(example.table, example.question))
-            results = driver.run_sync(engines)
+            results = driver.run(engines)
             return ([(r.answer, r.iterations, r.forced,
                       tuple(r.handling_events)) for r in results],
                     faults)

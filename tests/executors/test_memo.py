@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.core import SimpleMajorityVoting
-from repro.engine.driver import EffectHandler, run_chain
+from repro.engine.driver import ChainDriver, EffectHandler
 from repro.errors import ExecutionError, ModuleNotAllowedError
 from repro.executors import (
     CodeExecutor,
@@ -43,7 +43,7 @@ def _chain_effects(bench, *, seeds=(1, 2)) -> list:
                                  catch=voter.handler_catch)
             for engine in voter.chain_engines(example.table,
                                               example.question):
-                run_chain(engine, recorder)
+                ChainDriver(recorder).run([engine])
             effects.extend(recorder.effects)
     return effects
 

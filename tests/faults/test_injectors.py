@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.agent import ReActTableAgent
+from repro.engine import ChainDriver, EffectHandler
 from repro.errors import (
     PythonExecutionError,
     SandboxViolationError,
@@ -9,7 +11,9 @@ from repro.errors import (
     TransientModelError,
 )
 from repro.executors.base import CodeExecutor, ExecutionOutcome
+from repro.executors.registry import default_registry
 from repro.faults import FaultConfig, FaultPlan, FaultyExecutor, FaultyModel
+from repro.llm import SimulatedTQAModel, get_profile
 from repro.llm.base import Completion, LanguageModel
 from repro.table import DataFrame
 
@@ -184,3 +188,41 @@ class TestFaultyExecutor:
                                   plan_for("executor_corrupt"))
         assert executor.execute("SELECT 1",
                                 [empty]).table.num_rows == 0
+
+
+class TestBatchedFaults:
+    """The chain driver injects through the model: ``FaultyModel``'s
+    default ``complete_batch`` takes one fault draw per logical
+    request."""
+
+    @staticmethod
+    def chains(bench, config, count):
+        model = FaultyModel(
+            SimulatedTQAModel(bench.bank, get_profile("codex-sim"), seed=9),
+            FaultPlan(config, seed=4), sleep=lambda _seconds: None)
+        registry = default_registry()
+        agent = ReActTableAgent(model, registry=registry)
+        example = bench.examples[0]
+        engines = [agent.engine_for(example.table, example.question)
+                   for _ in range(count)]
+        return ChainDriver(EffectHandler(model, registry)), engines
+
+    def test_wrong_n_starves_batched_chains(self, wikitq_small):
+        """Under the chain driver, a wrong-sized batch starves its
+        logical request; the affected chains absorb it via the forcing
+        ladder."""
+        driver, engines = self.chains(
+            wikitq_small, FaultConfig(model_wrong_n=1.0), 2)
+        results = driver.run(engines)
+        # Every tick loses one completion: each n=1 request comes back
+        # empty, so both chains force and then give up empty-handed.
+        for result in results:
+            assert result.forced and result.answer == []
+            assert ("empty completion batch; forcing answer"
+                    in result.handling_events)
+
+    def test_transient_fails_the_whole_tick(self, wikitq_small):
+        driver, engines = self.chains(
+            wikitq_small, FaultConfig(model_transient=1.0), 1)
+        with pytest.raises(TransientModelError):
+            driver.run(engines)

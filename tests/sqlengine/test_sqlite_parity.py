@@ -131,6 +131,48 @@ def test_aggregate_over_no_rows_computes_each_item(sql, vector,
     assert native == run_sqlite_query(sql, catalog).to_rows()
 
 
+# --- TOTAL, HAVING and qualifiers, bound as SQLite binds them -----------------
+
+BINDING_QUERIES = [
+    "SELECT TOTAL(x) FROM T0",
+    "SELECT k, TOTAL(x) FROM T0 GROUP BY k ORDER BY k",
+    "SELECT x FROM T0 HAVING x > 1",
+    "SELECT x FROM T0 HAVING COUNT(*) > 1",
+    "SELECT COUNT(*) FROM T0 HAVING x > 1",
+    "SELECT zz.x FROM T0",
+    "SELECT T0.x FROM T0 a",
+    "SELECT T0.x FROM T0",
+    "SELECT a.x FROM T0 a",
+]
+
+
+def _typed_rows_or_message(run, sql: str, catalog: dict, failures: tuple):
+    """The rows with each value's type, or the failure's message."""
+    try:
+        rows = run(sql, catalog).to_rows()
+    except failures as exc:
+        return str(exc)
+    return [tuple((type(value).__name__, value) for value in row)
+            for row in rows]
+
+
+@pytest.mark.parametrize("sql", BINDING_QUERIES)
+@pytest.mark.parametrize("rows", [[(1, "a"), (2, "b"), (3, "a")], []],
+                         ids=["full", "empty"])
+@pytest.mark.parametrize("vector", ["1", "0"], ids=["vector", "interpreted"])
+def test_statements_bind_as_in_sqlite(sql, rows, vector, monkeypatch):
+    """TOTAL is always a float, 0.0 over no values; HAVING needs an
+    aggregate query; a qualifier must name the FROM table or its alias.
+    Same rows and types, or the same message, over a full and an empty
+    table."""
+    monkeypatch.setenv("REPRO_SQL_VECTOR", vector)
+    catalog = {"T0": DataFrame.from_rows(rows, ["x", "k"], name="T0")}
+    native = _typed_rows_or_message(execute_sql, sql, catalog, SQLError)
+    oracle = _typed_rows_or_message(run_sqlite_query, sql, catalog,
+                                    sqlite3.Error)
+    assert native == oracle
+
+
 # --- property-based parity over generated plan steps -------------------------
 
 names = st.sampled_from(["Rank", "Points"])

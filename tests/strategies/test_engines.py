@@ -14,6 +14,7 @@ with hand-fed effects or end-to-end with scripted models:
 import pytest
 
 from repro.core.actions import ActionKind
+from repro.core.agent import ReActTableAgent
 from repro.engine.effects import Execute, ModelCall, ModelResult
 from repro.errors import OperatorParseError
 from repro.llm.base import Completion, ScriptedModel
@@ -34,7 +35,7 @@ from repro.plans.steps import (
     ProjectStep,
     SuperlativeStep,
 )
-from repro.strategies import EngineRequest, StrategyAgent, get_strategy
+from repro.strategies import EngineRequest, get_strategy
 
 QUESTION = "which country had the most cyclists finish in the top 10?"
 
@@ -179,7 +180,7 @@ class TestChainOfTableEngine:
             "desc=true; limit=1)```.",
             self.ANSWER,
         ])
-        result = StrategyAgent(model, strategy="chain-of-table").run(
+        result = ReActTableAgent(model, strategy="chain-of-table").run(
             cyclists, QUESTION)
         assert result.answer == ["ESP"]
         assert result.iterations == 2
@@ -232,7 +233,7 @@ class TestCommentedCodeEngine:
 
     def test_prompt_asks_for_commented_program(self, cyclists):
         model = ScriptedModel(["ReAcTable: Answer: ```x```."])
-        StrategyAgent(model, strategy="commented-code").run(
+        ReActTableAgent(model, strategy="commented-code").run(
             cyclists, QUESTION)
         assert len(model.prompts) == 1
         assert "'#'" in model.prompts[0]
@@ -246,7 +247,7 @@ class TestCommentedCodeEngine:
             "# read the answer off\n"
             "ReAcTable: Answer: ```ESP```.",
         ])
-        result = StrategyAgent(model, strategy="commented-code").run(
+        result = ReActTableAgent(model, strategy="commented-code").run(
             cyclists, QUESTION)
         assert result.answer == ["ESP"]
         assert result.iterations == 1           # one LLM call

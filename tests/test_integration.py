@@ -3,7 +3,6 @@
 import pytest
 
 from repro import (
-    CodexCoTAgent,
     ExecutionBasedVoting,
     ReActTableAgent,
     SimpleMajorityVoting,
@@ -60,7 +59,8 @@ class TestVotingOverBenchmark:
             ReActTableAgent(SimulatedTQAModel(benchmark.bank, seed=1)),
             benchmark)
         cot = evaluate_agent(
-            CodexCoTAgent(SimulatedTQAModel(benchmark.bank, seed=1)),
+            ReActTableAgent(SimulatedTQAModel(benchmark.bank, seed=1),
+                            strategy="cot"),
             benchmark)
         assert react.accuracy > cot.accuracy
 

@@ -4,7 +4,8 @@ Direct ``model.complete(...)`` / ``executor.execute(...)`` calls are only
 allowed inside the engine drivers and the LLM/executor/faults packages;
 everything else must route I/O through
 :class:`repro.engine.EffectHandler`, or batching, chaos injection and
-cost attribution silently stop covering it.
+cost attribution silently stop covering it.  ``engine.next_effect()``
+is called only by the tick loop in ``repro/engine/driver.py``.
 """
 
 import importlib.util
@@ -76,6 +77,32 @@ def test_allowed_paths_are_skipped(tmp_path):
     violations = lint.find_violations(root=tmp_path)
     assert len(violations) == 1
     assert violations[0].startswith("core/agent.py")
+
+
+def test_lint_detects_an_engine_stepped_outside_the_tick_loop():
+    lint = load_lint()
+    lines = [
+        "while engine.state != 'done':",
+        "    effect = engine.next_effect()",
+        "    # engine.next_effect() -- commented out",
+    ]
+    for relpath in ("core/agent.py", "engine/core.py", "aio/driver.py"):
+        violations = lint.scan_pump_lines(relpath, lines)
+        assert len(violations) == 1
+        assert f"{relpath}:2" in violations[0]
+        assert "tick loop" in violations[0]
+    assert lint.scan_pump_lines("engine/driver.py", lines) == []
+
+
+def test_pump_rule_reaches_the_allowed_homes(tmp_path):
+    lint = load_lint()
+    pump = "def step(engine):\n    return engine.next_effect()\n"
+    for relpath in ("engine/core.py", "engine/driver.py"):
+        (tmp_path / relpath).parent.mkdir(exist_ok=True)
+        (tmp_path / relpath).write_text(pump)
+    violations = lint.find_violations(root=tmp_path)
+    assert len(violations) == 1
+    assert violations[0].startswith("engine/core.py:2")
 
 
 def test_lint_runs_standalone():

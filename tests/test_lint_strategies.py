@@ -62,15 +62,15 @@ def test_lint_detects_cot_family_construction(tmp_path):
 
 
 def test_isinstance_dispatch_is_allowed(tmp_path):
-    """Type dispatch (`isinstance(engine, ChainEngine)`) is the sanctioned
-    run_chain-vs-drive fork — only *constructions* are banned."""
+    """Type dispatch (`isinstance(engine, ChainEngine)`) is sanctioned,
+    as the shared-state merge does — only *constructions* are banned."""
     lint = load_lint()
     clean = tmp_path / "clean.py"
     clean.write_text(
-        "def drive_any(engine, handler):\n"
+        "def mergeable(engine):\n"
         "    if isinstance(engine, ChainEngine):\n"
-        "        return run_chain(engine, handler)\n"
-        "    return drive(engine, handler)\n")
+        "        return engine.iterations == 0\n"
+        "    return False\n")
     assert lint.scan_file(clean) == []
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 
-from repro.core import CodexCoTAgent, ReActTableAgent, SimpleMajorityVoting
+from repro.core import ReActTableAgent, SimpleMajorityVoting
 from repro.datasets import generate_dataset
 from repro.evalkit import evaluate_answer
 from repro.llm import SimulatedTQAModel, get_profile
@@ -36,29 +36,10 @@ def measure(dataset: str, size: int, profile, seed: int = 1) -> dict:
     return {
         "greedy": accuracy(ReActTableAgent(model)),
         "s-vote": accuracy(SimpleMajorityVoting(model, n=5)),
-        "cot": accuracy(CodexCoTAgent(model)),
-        "cot+s-vote": accuracy(_CoTVote(model, n=5)),
+        "cot": accuracy(ReActTableAgent(model, strategy="cot")),
+        "cot+s-vote": accuracy(SimpleMajorityVoting(model, n=5,
+                                                    strategy="cot")),
     }
-
-
-class _CoTVote:
-    """Simple majority voting over the CoT baseline (Table 4/5 rows)."""
-
-    def __init__(self, model, n=5, temperature=0.6):
-        self.model = model
-        self.n = n
-        self.temperature = temperature
-
-    def run(self, table, question):
-        from repro.core.voting import get_majority
-
-        agent = CodexCoTAgent(self.model, temperature=self.temperature)
-        answers = [agent.run(table, question).answer
-                   for _ in range(self.n)]
-        winner = get_majority(answers)
-        result = agent.run(table, question)
-        result.answer = winner
-        return result
 
 
 def main() -> None:

@@ -25,6 +25,11 @@ boundary; a ``<receiver>.execute(`` call marks the executor boundary
 when the receiver name contains ``executor`` or is ``registry`` —
 ``plan.execute`` (query plans) and ``cursor.execute`` (sqlite) pass.
 
+One more rule holds everywhere, the homes above included: a
+``.next_effect(`` call steps a chain engine, and only the tick loop in
+``repro/engine/driver.py`` may do that, so every chain gets its
+``iteration`` span and its tracer notes from one place.
+
 Runs standalone (``python tools/lint_effects.py``, exits non-zero on a
 violation) and as a tier-1 test via ``tests/test_lint_effects.py``.
 """
@@ -50,7 +55,11 @@ ALLOWED_PREFIXES = (
     "aio/handler.py",
 )
 
+#: The one module allowed to step chain engines.
+PUMP_MODULE = "engine/driver.py"
+
 _MODEL_CALL = re.compile(r"\.complete(?:_batch)?\(")
+_PUMP_CALL = re.compile(r"\.next_effect\(")
 _EXECUTE_CALL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*\.\s*execute\(")
 
 
@@ -79,15 +88,27 @@ def scan_lines(relpath: str, lines) -> list[str]:
     return violations
 
 
+def scan_pump_lines(relpath: str, lines) -> list[str]:
+    """Engine-stepping calls in one file outside :data:`PUMP_MODULE`."""
+    if relpath == PUMP_MODULE:
+        return []
+    return [f"{relpath}:{number}: engine stepped outside the tick loop "
+            f"(run the chain through repro.engine.ChainDriver)"
+            for number, line in enumerate(lines, start=1)
+            if not line.lstrip().startswith("#")
+            and _PUMP_CALL.search(line)]
+
+
 def find_violations(root: Path = SRC) -> list[str]:
     """Sans-IO boundary violations, one human-readable line each."""
     violations = []
     for path in sorted(root.rglob("*.py")):
         relpath = path.relative_to(root).as_posix()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        violations.extend(scan_pump_lines(relpath, lines))
         if any(relpath == prefix or relpath.startswith(prefix)
                for prefix in ALLOWED_PREFIXES):
             continue
-        lines = path.read_text(encoding="utf-8").splitlines()
         violations.extend(scan_lines(relpath, lines))
     return violations
 
@@ -101,7 +122,7 @@ def main() -> int:
               file=sys.stderr)
         return 1
     print("lint_effects: all model/executor I/O flows through the "
-          "sans-IO effect boundary")
+          "sans-IO effect boundary, and only the tick loop steps engines")
     return 0
 
 

@@ -7,10 +7,11 @@ an asyncio event loop, where a *parked coroutine* costs a few hundred
 bytes instead of a thread stack — thousands of chains can be mid-flight
 at once:
 
-* :class:`AsyncEffectHandler` (:mod:`repro.aio.handler`) — awaitable
-  ``model_call`` / ``model_batch`` over an :class:`AsyncLanguageModel`
-  adapter (:mod:`repro.aio.adapter`), same spans/tokens/deadline seam as
-  the sync :class:`~repro.engine.EffectHandler`.
+* :class:`AsyncEffectHandler` (:mod:`repro.aio.handler`) — an awaitable
+  ``model_batch`` over an :class:`AsyncLanguageModel` (sync models are
+  bridged inline by :mod:`repro.aio.adapter`), same spans/tokens/deadline
+  seam as the sync :class:`~repro.engine.EffectHandler`, and an awaited
+  ``pump`` that runs any step body on the loop.
 * :class:`AsyncChainDriver` (:mod:`repro.aio.driver`) — the tick loop
   of :class:`~repro.engine.ChainDriver` (lock-step ticks that coalesce
   identical pending prompts into one round-trip and step each distinct
@@ -18,9 +19,11 @@ at once:
 * :class:`WeightedFairQueue` (:mod:`repro.aio.fairness`) — per-tenant
   weighted fair queueing for admission order under backlog.
 * :class:`AsyncServer` (:mod:`repro.aio.server`) — the request ladder
-  (:mod:`repro.serving.ladder`) pumped as a coroutine, behind
+  (:mod:`repro.serving.ladder`) pumped as a coroutine, every attempt,
+  reflexion cycle and degraded answer on the loop, behind
   backpressure-aware admission control (bounded in-flight budget, typed
   :class:`~repro.errors.AdmissionRejectedError` shedding) and WFQ.
+  Nothing in this package hands work to a thread.
 * :class:`AsyncBatchEvaluator` (:mod:`repro.aio.evaluate`) — the
   :class:`~repro.serving.batch.BatchEvaluator` twin over the server.
 

@@ -1,21 +1,14 @@
 """Async adapters over the synchronous :class:`LanguageModel` protocol.
 
 Every model in the repo is synchronous (the simulated backends are pure
-compute; a real HTTP backend would block).  The async serving core talks
-to :class:`AsyncLanguageModel` — the awaitable twin of the completion
-protocol — and :class:`SyncModelAdapter` bridges any sync model into it.
-
-Two bridging modes:
-
-* **inline** (default): the sync call runs directly on the event loop.
-  Correct and deterministic for the repo's compute-only simulated models
-  (microseconds per call, no blocking I/O) and required for bit-exact
-  parity with the sync drivers — no thread hops, no reordering.
-* **offload** (``offload=True``): the call runs in a worker thread via
-  ``asyncio.to_thread`` so a genuinely blocking backend (network I/O,
-  a local inference runtime) does not stall the loop.  Only safe when
-  the wrapped model is thread-safe; concurrent chains may then interleave
-  their draws, so determinism degrades to the thread-pool contract.
+compute).  The async serving core talks to :class:`AsyncLanguageModel` —
+the awaitable twin of the completion protocol — and
+:class:`SyncModelAdapter` bridges any sync model into it by calling it
+inline on the event loop: correct and deterministic for compute-only
+models (microseconds per call, no blocking I/O), and required for
+bit-exact parity with the sync drivers — no thread hops, no reordering.
+A backend that blocks on the network implements
+:class:`AsyncLanguageModel` itself instead of being bridged.
 
 This module is, with :mod:`repro.aio.handler`, an allowed home for
 direct ``complete``/``complete_batch`` calls (see
@@ -23,8 +16,6 @@ direct ``complete``/``complete_batch`` calls (see
 """
 
 from __future__ import annotations
-
-import asyncio
 
 from repro.llm.base import Completion, CompletionRequest, LanguageModel
 
@@ -65,14 +56,13 @@ class AsyncLanguageModel:
 class SyncModelAdapter(AsyncLanguageModel):
     """Awaitable facade over a synchronous :class:`LanguageModel`.
 
-    Exposes the wrapped model as ``.inner`` so sync collaborators (the
-    executor registry path, the degraded-rung runner) can reach the real
-    model, and forwards ``fork`` for per-attempt reseeding.
+    Exposes the wrapped model as ``.inner`` so sync collaborators can
+    reach the real model, and forwards ``fork`` for per-attempt
+    reseeding.
     """
 
-    def __init__(self, inner: LanguageModel, *, offload: bool = False):
+    def __init__(self, inner: LanguageModel):
         self.inner = inner
-        self.offload = offload
 
     @property
     def name(self) -> str:
@@ -83,13 +73,10 @@ class SyncModelAdapter(AsyncLanguageModel):
         return self.inner.supports_logprobs
 
     def fork(self, seed: int) -> "SyncModelAdapter":
-        return SyncModelAdapter(self.inner.fork(seed), offload=self.offload)
+        return SyncModelAdapter(self.inner.fork(seed))
 
     async def complete(self, prompt: str, *, temperature: float = 0.0,
                        n: int = 1) -> list[Completion]:
-        if self.offload:
-            return await asyncio.to_thread(
-                self.inner.complete, prompt, temperature=temperature, n=n)
         return self.inner.complete(prompt, temperature=temperature, n=n)
 
     async def complete_batch(
@@ -98,9 +85,6 @@ class SyncModelAdapter(AsyncLanguageModel):
         # One sync batch call, not a per-request loop: the inner model's
         # batch endpoint (and its fault-injection wrappers) sees one call
         # per tick.
-        if self.offload:
-            return await asyncio.to_thread(
-                self.inner.complete_batch, requests)
         return self.inner.complete_batch(requests)
 
 

@@ -2,14 +2,12 @@
 
 :class:`AsyncChainDriver` is :class:`repro.engine.ChainDriver` with an
 awaited round-trip: the same tick loop (coalesced requests, shared chain
-states, ``iteration`` spans), with each tick's ``model_batch`` awaited
-on an :class:`~repro.aio.AsyncEffectHandler`.  The async server runs
-every greedy and s-vote attempt through it.
+states, ``iteration`` spans), pumped by an
+:class:`~repro.aio.AsyncEffectHandler`, which awaits each tick's
+``model_batch``.
 """
 
 from __future__ import annotations
-
-import asyncio
 
 from repro.aio.handler import AsyncEffectHandler
 from repro.engine.driver import ChainDriver
@@ -38,21 +36,4 @@ class AsyncChainDriver(ChainDriver):
 
     async def run(self, engines) -> list[AgentResult]:
         """Drive every engine to completion; results in input order."""
-        ticks = self._ticks(engines)
-        resume, value = ticks.send, None
-        while True:
-            try:
-                requests = resume(value)
-            except StopIteration as stop:
-                return stop.value
-            try:
-                # Yield once per tick, so other requests on the loop step
-                # between this run's ticks even when the model answers
-                # without suspending.
-                await asyncio.sleep(0)
-                value = await self.handler.model_batch(requests)
-                resume = ticks.send
-            except BaseException as exc:
-                # Back into the tick loop, which closes its span in this
-                # task's context and re-raises (cancellation too).
-                resume, value = ticks.throw, exc
+        return await self.handler.pump(self.steps(engines))

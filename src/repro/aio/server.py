@@ -18,14 +18,12 @@ runs too, so the two return equal responses for the same requests
 
 * a request is a *coroutine*, not a thread — the in-flight budget
   (``max_inflight``) can be hundreds without hundreds of stacks;
-* chain runners (greedy and s-vote) run each attempt as one
-  :class:`~repro.aio.driver.AsyncChainDriver` run — the tick loop every
-  chain runs through, its round-trips awaited (voted chains coalesce
-  their ticks and share their states) — with the runner's exception
-  envelope and the deadline on the
-  :class:`~repro.aio.handler.AsyncEffectHandler` seam; blocking
-  tree/execution voters and the reflexion and degraded rungs run in
-  worker threads via ``asyncio.to_thread``;
+* every step body the ladder runs — each attempt's runner (greedy,
+  s-vote with its chains in one tick loop, t-vote, e-vote), each
+  reflexion cycle and the degraded runner — is pumped on the loop by an
+  :class:`~repro.aio.handler.AsyncEffectHandler`, which awaits each
+  round trip and checks the deadline around it.  No work leaves the
+  loop for a thread;
 * admission order under backlog is per-tenant weighted fair queueing
   (:class:`~repro.aio.fairness.WeightedFairQueue`), not FIFO: one chatty
   tenant cannot starve the rest;
@@ -45,23 +43,17 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.aio.driver import AsyncChainDriver
 from repro.aio.fairness import WeightedFairQueue
 from repro.aio.handler import AsyncEffectHandler
-from repro.errors import (
-    AdmissionRejectedError,
-    ExecutionError,
-    QueueClosedError,
-    ServingError,
-)
+from repro.errors import AdmissionRejectedError, QueueClosedError, ServingError
 from repro.serving.breaker import BreakerConfig
 from repro.serving.cache import AnswerCache, request_fingerprint
-from repro.serving.ladder import Attempt, Backoff, RequestLadder
+from repro.serving.ladder import Backoff, RequestLadder
 from repro.serving.metrics import ServingMetrics
 from repro.serving.policy import ReflectPolicy, RetryPolicy
 from repro.serving.request import TQARequest, TQAResponse
 from repro.table.frame import DataFrame
-from repro.telemetry.spans import Telemetry, span
+from repro.telemetry.spans import Telemetry
 
 __all__ = ["AsyncServer"]
 
@@ -83,6 +75,9 @@ class AsyncServer(RequestLadder):
 
     Use as an async context manager, or call :meth:`close` when done.
     """
+
+    #: An s-vote attempt's chains always share one tick loop.
+    batch_scheduler = True
 
     def __init__(self, spec, *, max_inflight: int = 64,
                  max_queued: int | None = 256,
@@ -300,49 +295,13 @@ class AsyncServer(RequestLadder):
             except StopIteration as stop:
                 return stop.value
             try:
-                if isinstance(effect, Attempt):
-                    value = await self._run_attempt(effect.request,
-                                                    effect.seed)
-                elif isinstance(effect, Backoff):
+                if isinstance(effect, Backoff):
                     value = await self._sleep(effect.delay)
                 else:
-                    value = await asyncio.to_thread(effect.call)
+                    value = await effect.perform(AsyncEffectHandler)
                 resume = steps.send
             except BaseException as exc:
                 # Back into the ladder, which handles what it can and
                 # re-raises the rest (cancellation too) once its spans
                 # are closed.
                 resume, value = steps.throw, exc
-
-    async def _run_attempt(self, request: TQARequest, seed: int):
-        """One seeded attempt, dispatched by runner capability.
-
-        Chain runners (``chain_engines`` / ``engine_for``) run through
-        the batched chain driver, with the runner's exception envelope
-        and the deadline on the handler seam; blocking voters
-        (tree/execution) run in a worker thread under the ladder's
-        ``DeadlineModel`` wrap.
-        """
-        runner = self.spec.build(seed)
-        deadline = self.policy.deadline()
-        table, question = request.table, request.question
-        if not hasattr(runner, "chain_engines") and not hasattr(
-                runner, "engine_for"):
-            return await asyncio.to_thread(
-                self._run_blocking, runner, request, deadline)
-        driver = AsyncChainDriver(handler=AsyncEffectHandler(
-            runner.model, runner.registry, deadline=deadline,
-            catch=getattr(runner, "handler_catch", (ExecutionError,))))
-        if hasattr(runner, "chain_engines"):
-            # s-vote: n chains coalescing their ticks.
-            with span("vote_run", method="s-vote", n=runner.n):
-                results = await driver.run(
-                    runner.chain_engines(table, question))
-            return runner.tally(results)
-        # Greedy single chain.
-        with span("agent_run", trace_id=None) as root:
-            if root is not None:
-                root.set(question=question[:120])
-            (result,) = await driver.run(
-                [runner.engine_for(table, question)])
-            return result

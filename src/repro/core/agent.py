@@ -25,7 +25,8 @@ Since the sans-IO refactor the loop itself lives in
 :class:`repro.engine.ChainEngine` and runs through the one tick loop,
 :class:`repro.engine.ChainDriver`; this class is the single-chain runner
 of every registered strategy (prompt-builder selection, model forking,
-telemetry activation).  :data:`HARD_ITERATION_CAP` and
+telemetry activation).  Its step body, :meth:`ReActTableAgent.steps`,
+is what both servers pump.  :data:`HARD_ITERATION_CAP` and
 :class:`AgentResult` are re-exported from :mod:`repro.engine` for
 back-compat.
 """
@@ -141,6 +142,24 @@ class ReActTableAgent:
             max_iterations=self.max_iterations,
             prompt_builder=builder))
 
+    def steps(self, table: DataFrame, question: str, handler):
+        """The agent's step body: one chain through the tick loop, in an
+        ``agent_run`` span; returns its :class:`AgentResult`.
+
+        Executions run through ``handler``; the servers pump this body
+        through their own handler (:meth:`EffectHandler.pump`).
+        """
+        engine = self.engine_for(table, question)
+        chain = None
+        if self.tracer is not None:
+            chain = self.tracer.start_chain(question)
+        with span("agent_run", trace_id=chain) as root:
+            if root is not None:
+                root.set(question=question[:120])
+            (result,) = yield from ChainDriver(
+                handler, tracer=self.tracer).steps([engine])
+        return result
+
     def run(self, table: DataFrame, question: str, *,
             seed: int | None = None) -> AgentResult:
         """Answer ``question`` over ``table`` with one reasoning chain.
@@ -152,19 +171,11 @@ class ReActTableAgent:
         reproducibility.
         """
         model = self.model if seed is None else self.model.fork(seed)
-        engine = self.engine_for(table, question)
-        chain = None
-        if self.tracer is not None:
-            chain = self.tracer.start_chain(question)
         # With a tracer, its telemetry store becomes ambient for the
         # chain; without one, activate(None) leaves any enclosing store
         # (the serving pool's request span) in place.
         telemetry = self.tracer.telemetry if self.tracer is not None else None
-        with activate(telemetry), span("agent_run", trace_id=chain) as root:
-            if root is not None:
-                root.set(question=question[:120])
+        with activate(telemetry):
             handler = EffectHandler(model, self.registry,
-                                    catch=self.strategy.handler_catch)
-            (result,) = ChainDriver(handler, tracer=self.tracer).run(
-                [engine])
-            return result
+                                    catch=self.handler_catch)
+            return handler.pump(self.steps(table, question, handler))

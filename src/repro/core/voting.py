@@ -12,24 +12,30 @@
 All three return an :class:`AgentResult`-compatible summary via
 :class:`VotingResult`.
 
-Since the sans-IO refactor the voters are *branch-forking drivers* over
+Each voter is one sans-IO step body (``steps(table, question,
+handler)``, see :mod:`repro.engine.driver`): it yields every model round
+trip as a list of :class:`~repro.llm.base.CompletionRequest`\\ s, runs
+its executions through the handler and returns the vote.  ``run`` pumps
+it through an :class:`~repro.engine.EffectHandler`; the servers pump the
+same body through theirs.  Every round trip so runs inside the handler's
+``model_call`` telemetry span, and each vote inside a ``vote_run`` span
+carrying the method name.
+
+:class:`SimpleMajorityVoting` runs its chains through the tick loop
+(:class:`repro.engine.ChainDriver`): one loop per chain by default, or,
+with ``use_scheduler=True`` (the serving pool sets it under
+``batch_scheduler=True``, the async server always), one loop of all *n*
+chains.  That loop coalesces identical pending prompts across chains
+into single batched completions, and since the chains start from one
+prompt builder it steps those in the same state as one engine.
+
+The tree and execution voters are *branch-forking* bodies over
 :class:`repro.engine.ChainEngine`: step logic (prompt assembly, action
 execution, ``T<k>`` table naming) comes from the engine's branch
 primitives and forked branches are engine :meth:`clone`\\ s, while the
-voting policy — who votes, what merges, which branch is committed — stays
-here.  Every model call now runs through the
-:class:`repro.engine.EffectHandler`'s ``model_call`` telemetry span, so
-voted runs get the same token attribution and cost fold-up as single
-chains (they used to bypass the spans and under-report).  Each ``run``
-is wrapped in a ``vote_run`` span carrying the method name.
-
-:class:`SimpleMajorityVoting` runs each chain through the tick loop
-(:class:`repro.engine.ChainDriver`): one loop per chain by default, or,
-with ``use_scheduler=True`` (the serving pool sets it under
-``batch_scheduler=True``), one loop of all *n* chains.  That loop
-coalesces identical pending prompts across chains into single batched
-completions, and since the chains start from one prompt builder it
-steps those in the same state as one engine.
+voting policy — who votes, what merges, which branch is committed —
+stays here.  t-vote sends one request per expanded branch, in BFS
+order; e-vote one per step.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from repro.engine.core import ChainEngine
 from repro.engine.driver import ChainDriver, EffectHandler
 from repro.errors import ActionParseError, ModelError, StrategyError
 from repro.executors.registry import ExecutorRegistry, default_registry
-from repro.llm.base import LanguageModel
+from repro.llm.base import CompletionRequest, LanguageModel
 from repro.strategies.base import EngineRequest
 from repro.strategies.registry import get_strategy
 from repro.table.compare import table_fingerprint
@@ -108,6 +114,12 @@ def _sample_count(n: int) -> int:
     return n
 
 
+def _request(effect) -> list[CompletionRequest]:
+    """One branch's :class:`~repro.engine.ModelCall` as a round trip."""
+    return [CompletionRequest(prompt=effect.prompt,
+                              temperature=effect.temperature, n=effect.n)]
+
+
 def _branching_strategy(name: str, voter: str):
     """Resolve a strategy for a branch-forking voter, or refuse.
 
@@ -123,7 +135,21 @@ def _branching_strategy(name: str, voter: str):
     return strategy
 
 
-class SimpleMajorityVoting:
+class _Voter:
+    """What the three voters share: the envelope and the sync pump."""
+
+    #: Branches prune (rather than force) on any execution failure, and
+    #: non-executing code never wins a vote: swallow every exception.
+    handler_catch: tuple = (Exception,)
+
+    def run(self, table: DataFrame, question: str) -> VotingResult:
+        """Pump :meth:`steps` through an :class:`EffectHandler`."""
+        handler = EffectHandler(self.model, self.registry,
+                                catch=self.handler_catch)
+        return handler.pump(self.steps(table, question, handler))
+
+
+class SimpleMajorityVoting(_Voter):
     """Algorithm 1: n independent chains, majority answer.
 
     ``use_scheduler=True`` switches from n sequential agent runs to one
@@ -152,37 +178,39 @@ class SimpleMajorityVoting:
         """The strategy's exception envelope, for external drivers."""
         return self.strategy.handler_catch
 
-    def _agent(self) -> ReActTableAgent:
-        return ReActTableAgent(
-            self.model, registry=self.registry,
-            temperature=self.temperature,
-            max_iterations=self.max_iterations,
-            strategy=self.strategy.name)
-
-    def run(self, table: DataFrame, question: str) -> VotingResult:
+    def steps(self, table: DataFrame, question: str, handler):
+        """The vote's step body: the *n* chains in one tick loop with
+        ``use_scheduler``, else each in its own loop and ``agent_run``
+        span, one after another (the sequential agent's draw order)."""
         with span("vote_run", method="s-vote", n=self.n):
+            engines = self.chain_engines(table, question)
             if self.use_scheduler:
-                handler = EffectHandler(self.model, self.registry,
-                                        catch=self.handler_catch)
-                results = ChainDriver(handler).run(
-                    self.chain_engines(table, question))
+                results = yield from ChainDriver(handler).steps(engines)
             else:
-                agent = self._agent()
-                results = [agent.run(table, question)
-                           for _ in range(self.n)]
+                results = []
+                for engine in engines:
+                    with span("agent_run", trace_id=None) as root:
+                        if root is not None:
+                            root.set(question=question[:120])
+                        results += yield from ChainDriver(
+                            handler).steps([engine])
         return self.tally(results)
 
     def chain_engines(self, table: DataFrame,
                       question: str) -> list[ChainEngine]:
         """The voter's *n* independent chains as sans-IO engines.
 
-        The seam for external drivers (the tick loop here and in the
-        async server): drive these however you like,
-        then combine the results with :meth:`tally` — same voting policy,
-        any sequencing.  The engines share one prompt builder, which
-        lets the batched driver step chains in the same state once.
+        The seam for other drivers (the reflexion re-run): drive these
+        however you like, then combine the results with :meth:`tally` —
+        same voting policy, any sequencing.  The engines share one
+        prompt builder, which lets the batched driver step chains in the
+        same state once.
         """
-        agent = self._agent()
+        agent = ReActTableAgent(
+            self.model, registry=self.registry,
+            temperature=self.temperature,
+            max_iterations=self.max_iterations,
+            strategy=self.strategy.name)
         return [agent.engine_for(table, question) for _ in range(self.n)]
 
     def tally(self, results) -> VotingResult:
@@ -214,7 +242,7 @@ class SimpleMajorityVoting:
                             iterations=winner_iterations)
 
 
-class TreeExplorationVoting:
+class TreeExplorationVoting(_Voter):
     """Algorithm 2: fanout-n reasoning tree, majority over leaves.
 
     ``max_branches`` bounds the frontier so adversarial inputs cannot blow
@@ -237,11 +265,10 @@ class TreeExplorationVoting:
         self.max_branches = max_branches
         self.max_depth = max_depth
 
-    def run(self, table: DataFrame, question: str) -> VotingResult:
-        # Branches prune (rather than force) on any execution failure, so
-        # the handler swallows every exception class.
-        handler = EffectHandler(self.model, self.registry,
-                                catch=(Exception,))
+    def steps(self, table: DataFrame, question: str, handler):
+        """The tree's step body: one round trip per expanded branch, in
+        BFS order; ``max_branches`` forces each branch popped after the
+        budget is spent."""
         root = self.strategy.build_engine(EngineRequest(
             table=table, question=question,
             languages=tuple(self.registry.languages),
@@ -260,8 +287,9 @@ class TreeExplorationVoting:
                 # vote rather than vanish.
                 force = (depth + 1 >= self.max_depth
                          or expanded >= self.max_branches)
-                reply = handler.model_call(branch.prompt_effect(force=force))
-                for completion in reply.completions:
+                (completions,) = yield _request(
+                    branch.prompt_effect(force=force))
+                for completion in completions:
                     try:
                         action = parse_action(completion.text)
                     except ActionParseError:
@@ -293,7 +321,7 @@ class TreeExplorationVoting:
             iterations=first_depths.get(_normalize_answer_key(winner), 1))
 
 
-class ExecutionBasedVoting:
+class ExecutionBasedVoting(_Voter):
     """Algorithm 3: per-step sampling with execution-equivalence merging."""
 
     def __init__(self, model: LanguageModel, *,
@@ -313,10 +341,8 @@ class ExecutionBasedVoting:
         self.n = _sample_count(n)
         self.max_depth = max_depth
 
-    def run(self, table: DataFrame, question: str) -> VotingResult:
-        # Non-executing code never wins a vote: swallow everything.
-        handler = EffectHandler(self.model, self.registry,
-                                catch=(Exception,))
+    def steps(self, table: DataFrame, question: str, handler):
+        """The vote's step body: one round trip per committed step."""
         engine = self.strategy.build_engine(EngineRequest(
             table=table, question=question,
             languages=tuple(self.registry.languages),
@@ -326,12 +352,12 @@ class ExecutionBasedVoting:
             while True:
                 iterations += 1
                 force = iterations >= self.max_depth
-                reply = handler.model_call(
+                (completions,) = yield _request(
                     engine.prompt_effect(force=force))
                 # Score log: group key -> (score, representative
                 # prediction).
                 groups: dict[object, dict] = {}
-                for completion in reply.completions:
+                for completion in completions:
                     try:
                         action = parse_action(completion.text)
                     except ActionParseError:

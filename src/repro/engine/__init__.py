@@ -6,14 +6,16 @@ iteration caps, transcript bookkeeping) as a pure state machine that
 yields typed effects instead of performing I/O.  Everything that used to
 re-implement the loop is now a driver over this core:
 
-* :class:`ChainDriver` — the one pump: runs any number of engines, of
-  any strategy, in lock-step ticks, coalescing pending model calls into
-  batched ``complete_batch`` round-trips and stepping chains in the same
-  state once.  :class:`repro.core.ReActTableAgent` runs each chain
-  through it, and :class:`repro.aio.AsyncChainDriver` awaits the same
-  tick loop;
-* the tree and execution voters — branch-forking drivers that
-  :meth:`ChainEngine.clone` engine state.
+* :class:`ChainDriver` — the one tick loop: runs any number of engines,
+  of any strategy, in lock-step ticks, coalescing pending model calls
+  into batched ``complete_batch`` round-trips and stepping chains in the
+  same state once.  :class:`repro.core.ReActTableAgent` runs each chain
+  through it;
+* the tree and execution voters — branch-forking step bodies that
+  :meth:`ChainEngine.clone` engine state;
+* :class:`EffectHandler` — performs the effects, and pumps any runner's
+  step body (:meth:`EffectHandler.pump`); the async handler awaits the
+  same bodies.
 
 See ``docs/architecture.md`` §10 for the effect-flow diagram.
 """

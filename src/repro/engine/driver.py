@@ -4,11 +4,20 @@ The split of responsibilities after the sans-IO refactor:
 
 * :class:`~repro.engine.core.ChainEngine` — *what* happens (step logic);
 * :class:`EffectHandler` — *how* one effect is performed (the only place
-  in the agent stack that calls ``LanguageModel.complete`` or
-  ``CodeExecutor.execute``; ``tools/lint_effects.py`` enforces this);
+  in the agent stack that calls the model or ``CodeExecutor.execute``;
+  ``tools/lint_effects.py`` enforces this);
 * :class:`ChainDriver` — *when* effects are performed: every chain, one
   or many, greedy or sampled, of any strategy, steps through its tick
   loop, the only code that calls ``next_effect()``.
+
+**Step bodies.**  Every runner's work is one sans-IO generator, its
+*step body*: it yields each model round trip as a
+``list[CompletionRequest]``, is sent the completion lists back, runs its
+executions inline through the handler's ``execute`` and returns its
+result.  The tick loop (:meth:`ChainDriver.steps`) is one; the agent,
+the three voters and the reflexion cycle build theirs on it or beside
+it.  :meth:`EffectHandler.pump` runs a body to its result, so the
+attempt deadline lives on the handler and nowhere else.
 
 **A tick.**  Every unfinished chain contributes its engine's pending
 model call; identical ``(prompt, temperature)`` pairs coalesce into one
@@ -38,7 +47,7 @@ lock-step reference in ``tests/engine/lockstep.py`` by
 ``tests/aio/test_driver.py``).  A model or executor exception leaves
 the run; nothing else is left running.
 
-``EffectHandler`` also owns telemetry attribution: every model call —
+``EffectHandler`` also owns telemetry attribution: every round trip —
 whether it comes from a chain's tick, a voting branch or the reflection
 call — runs inside a ``model_call`` span with prompt/completion token
 counts, so cost fold-up works uniformly.
@@ -50,7 +59,7 @@ import time
 from contextlib import contextmanager
 
 from repro.engine.core import ChainEngine
-from repro.engine.effects import Execute, ExecResult, ModelCall, ModelResult
+from repro.engine.effects import Execute, ExecResult, ModelResult
 from repro.engine.result import AgentResult
 from repro.errors import ExecutionError, ServingTimeoutError
 from repro.llm.base import Completion, CompletionRequest, LanguageModel
@@ -70,13 +79,11 @@ class EffectHandler:
     pass ``catch=(Exception,)``.
 
     ``deadline`` (absolute, on ``clock``'s timeline) enforces a request
-    timeout at the effect seam itself: every model boundary crossing —
-    single call or batched tick — checks it before the round-trip (cheap
-    refusal) and after it returns (catches one slow call), raising
-    :class:`~repro.errors.ServingTimeoutError`.  This is the same
-    contract as :class:`repro.serving.policy.DeadlineModel`, but it works
-    for *any* driver holding the handler — scheduler ticks and async
-    chains included — without needing a mutable ``runner.model`` to wrap.
+    timeout at the effect seam itself: every round trip checks it before
+    the call (cheap refusal) and after it returns (catches one slow
+    call), raising :class:`~repro.errors.ServingTimeoutError`.  Chains
+    cannot be preempted mid-executor, so a timed-out body stops within
+    one round trip of its deadline.
     """
 
     def __init__(self, model: LanguageModel, registry, *,
@@ -119,13 +126,6 @@ class EffectHandler:
                     calls=len(requests))
         self.check_deadline("after")
 
-    def model_call(self, effect: ModelCall) -> ModelResult:
-        """Perform one :class:`ModelCall` inside a ``model_call`` span."""
-        with self._model_boundary([effect]) as batches:
-            batches.append(self.model.complete(
-                effect.prompt, temperature=effect.temperature, n=effect.n))
-        return ModelResult(tuple(batches[0]))
-
     def model_batch(self,
                     requests: list[CompletionRequest]
                     ) -> list[list[Completion]]:
@@ -134,6 +134,25 @@ class EffectHandler:
                                   batched=len(requests)) as batches:
             batches.extend(self.model.complete_batch(requests))
         return batches
+
+    def pump(self, steps):
+        """Run the step body ``steps`` to its result.
+
+        Each round trip it yields goes out as one :meth:`model_batch`;
+        the completions are sent back, or the exception thrown back in,
+        so a span the body opened closes in the caller's context.
+        """
+        resume, value = steps.send, None
+        while True:
+            try:
+                requests = resume(value)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                value = self.model_batch(requests)
+                resume = steps.send
+            except BaseException as exc:
+                resume, value = steps.throw, exc
 
     # --- executor boundary ----------------------------------------------------
 
@@ -220,10 +239,11 @@ class ChainDriver:
     The only code that steps an engine (``tools/lint_effects.py``).
     ``handler`` performs the effects; ``tracer``, an optional
     :class:`~repro.tracing.ChainTracer`, receives every engine's notes.
-    :meth:`run` performs each tick's model batch directly;
-    :class:`repro.aio.AsyncChainDriver` awaits it instead.  ``ticks``
-    counts round-trips and ``requests`` the coalesced requests inside
-    them — the coalescing evidence.
+    :meth:`steps` is the tick loop as a step body, for runners that
+    build theirs on it; :meth:`run` pumps it through the handler
+    (:class:`repro.aio.AsyncChainDriver` awaits the pump instead).
+    ``ticks`` counts round-trips and ``requests`` the coalesced requests
+    inside them — the coalescing evidence.
     """
 
     def __init__(self, handler: EffectHandler, *, tracer=None):
@@ -232,7 +252,7 @@ class ChainDriver:
         self.ticks = 0
         self.requests = 0
 
-    def _ticks(self, engines):
+    def steps(self, engines):
         """The tick loop: yields each tick's requests, is sent their
         completion lists, returns the results in input order.
 
@@ -291,15 +311,4 @@ class ChainDriver:
 
     def run(self, engines) -> list[AgentResult]:
         """Drive every engine to completion; results in input order."""
-        ticks = self._ticks(engines)
-        resume, value = ticks.send, None
-        while True:
-            try:
-                requests = resume(value)
-            except StopIteration as stop:
-                return stop.value
-            try:
-                value = self.handler.model_batch(requests)
-                resume = ticks.send
-            except BaseException as exc:
-                resume, value = ticks.throw, exc
+        return self.handler.pump(self.steps(engines))

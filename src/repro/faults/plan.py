@@ -43,8 +43,8 @@ class FaultConfig:
       :class:`~repro.errors.TransientModelError` before calling the
       backend (an API 5xx / dropped connection);
     * ``model_latency`` — sleep ``latency_seconds`` before the call (a
-      slow backend; trips :class:`~repro.serving.policy.DeadlineModel`'s
-      post-completion check when a deadline is armed);
+      slow backend; trips the :class:`~repro.engine.EffectHandler`'s
+      post-round-trip deadline check when a deadline is armed);
     * ``model_truncate`` — cut each completion's text in half (a
       connection dropped mid-stream);
     * ``model_garbage`` — replace completions with unparseable noise;

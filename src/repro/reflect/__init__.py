@@ -7,12 +7,13 @@ split mapped onto this repo's sans-IO engine:
   the exception that ended it) into a typed :class:`FailureReport`.
 * :mod:`repro.reflect.memory` — the episodic buffer: verbal reflections
   keyed by ``(table_digest, question)``.
-* :mod:`repro.reflect.engine` — the actor loop: generate a reflection
-  through the ``EffectHandler`` seam, then re-run the chain engines with
-  the reflections block injected via the engine's ``prompt_hook``.
+* :mod:`repro.reflect.engine` — the actor loop, one step body: generate
+  a reflection as one round trip through the ``EffectHandler`` seam,
+  then re-run the chain engines with the reflections block injected via
+  the engine's ``prompt_hook``.
 
 The serving ladder consumes this package through
-:class:`repro.serving.policy.ReflectionRung`.
+:class:`repro.serving.ladder.ReflectionRung`.
 """
 
 from repro.reflect.engine import (

@@ -1,13 +1,15 @@
 """The reflect engine: one Reflexion cycle over the sans-IO chain engine.
 
-A cycle has two model-facing phases, both performed through the standard
-:class:`~repro.engine.driver.EffectHandler` seam so deadline enforcement,
-fault injection and per-span token attribution all apply unchanged:
+A cycle is one step body (:meth:`ReflectEngine.steps`, see
+:mod:`repro.engine.driver`) with two model-facing phases, both round
+trips through the standard :class:`~repro.engine.driver.EffectHandler`
+seam, so deadline enforcement, fault injection and per-span token
+attribution all apply unchanged:
 
 1. **Reflect** — build a reflection-request prompt from the
    :class:`~repro.reflect.harvest.FailureReport` (plus any prior
    reflections recalled from :class:`~repro.reflect.memory.\
-ReflectionMemory`), and perform it as a single ``ModelCall`` inside a
+ReflectionMemory`), and send it as one round trip inside a
    ``reflection`` span.  The completion text is the verbal reflection; it
    is committed to memory before the re-run.
 2. **Re-run** — rebuild the spec's chain engines and drive them with the
@@ -19,11 +21,13 @@ ReflectionMemory`), and perform it as a single ``ModelCall`` inside a
    :class:`~repro.errors.ReflectionUnsupportedError` — the ladder skips
    the rung.
 
-Everything is keyed off the caller's seed: the spec builds a fresh seeded
-runner, the reflection text is a deterministic function of (model seed,
-question, failure category, prior-reflection count), and the re-run
-consumes the model's draws exactly like a first-class attempt — so a
-reflected response is reproducible bit-for-bit.
+The request ladder pumps the body through its server's handler;
+:meth:`ReflectEngine.run` pumps it through a sync one.  Everything is
+keyed off the caller's seed: the spec builds a fresh seeded runner, the
+reflection text is a deterministic function of (model seed, question,
+failure category, prior-reflection count), and the re-run consumes the
+model's draws exactly like a first-class attempt — so a reflected
+response is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from repro.core.prompt import (
     _TABLE_MARKER,
 )
 from repro.engine.driver import ChainDriver, EffectHandler
-from repro.engine.effects import ModelCall
-from repro.errors import ExecutionError, ReflectionUnsupportedError
+from repro.errors import ReflectionUnsupportedError
+from repro.llm.base import CompletionRequest
 from repro.perf.encode_cache import encode_head_row_cached
 from repro.reflect.harvest import FailureReport, describe
 from repro.reflect.memory import ReflectionMemory
@@ -87,17 +91,9 @@ class ReflectEngine:
         self.spec = spec
         self.memory = memory if memory is not None else ReflectionMemory()
 
-    def run(self, table: DataFrame, question: str, *, seed: int,
-            report: FailureReport, deadline: float | None = None,
-            index: int = 1):
-        """One full cycle; returns the re-run's result.
-
-        ``seed`` seeds the fresh runner (reflection call and re-run
-        share its model, so fault plans and deadline checks cover both);
-        ``deadline`` is the absolute cutoff on the handler seam;
-        ``index`` is the 1-based reflection number within the request,
-        recorded on the ``reflect_run`` span.
-        """
+    def runner(self, seed: int):
+        """The spec's runner for ``seed``, refused without a chain-engine
+        seam to re-run with reflections."""
         runner = self.spec.build(seed)
         supported = (hasattr(runner, "engine_for")
                      or (hasattr(runner, "chain_engines")
@@ -106,38 +102,48 @@ class ReflectEngine:
             raise ReflectionUnsupportedError(
                 f"runner {type(runner).__name__} exposes no chain-engine "
                 f"seam to re-run with reflections")
+        return runner
+
+    def run(self, table: DataFrame, question: str, *, seed: int,
+            report: FailureReport, deadline: float | None = None,
+            index: int = 1):
+        """One full cycle; returns the re-run's result.
+
+        ``seed`` seeds the fresh runner (reflection call and re-run
+        share its model, so fault plans and deadline checks cover both);
+        ``deadline`` is the absolute cutoff on the handler seam.
+        """
+        runner = self.runner(seed)
         # Honour the runner's exception envelope: CoT-family chains
         # expect non-execution errors contained, not raised.
         handler = EffectHandler(runner.model, runner.registry,
                                 deadline=deadline,
-                                catch=getattr(runner, "handler_catch",
-                                              (ExecutionError,)))
+                                catch=runner.handler_catch)
+        return handler.pump(self.steps(runner, table, question, handler,
+                                       report=report, index=index))
+
+    def steps(self, runner, table: DataFrame, question: str, handler, *,
+              report: FailureReport, index: int = 1):
+        """One cycle's step body over ``runner``; returns the re-run's
+        result.  ``index`` is the 1-based reflection number within the
+        request, recorded on the ``reflect_run`` span."""
         with span("reflect_run", index=index, category=report.category):
             prior = self.memory.recall(table, question)
-            reflection = self._reflect(handler, table, question, report,
-                                       prior)
+            prompt = reflection_prompt(table, question, report, prior)
+            with span("reflection", category=report.category):
+                (completions,) = yield [CompletionRequest(prompt=prompt)]
+            reflection = (completions[0].text.strip() if completions
+                          else "") or (
+                f"The previous attempt failed ({report.category}); take "
+                f"smaller, verified steps this time.")
             self.memory.remember(table, question, reflection)
             reflections = prior + (reflection,)
 
             def hook(prompt: str) -> str:
                 return inject_reflections(prompt, reflections)
 
-            return self._rerun(runner, table, question, hook, handler)
-
-    # --- phases -------------------------------------------------------------
-
-    def _reflect(self, handler: EffectHandler, table: DataFrame,
-                 question: str, report: FailureReport,
-                 prior: tuple[str, ...]) -> str:
-        """Generate the verbal reflection through the effect seam."""
-        prompt = reflection_prompt(table, question, report, prior)
-        call = ModelCall(prompt=prompt, temperature=0.0, n=1, iteration=0)
-        with span("reflection", category=report.category):
-            reply = handler.model_call(call)
-        text = reply.completions[0].text.strip() if reply.completions else ""
-        return text or (f"The previous attempt failed "
-                        f"({report.category}); take smaller, verified "
-                        f"steps this time.")
+            return (yield from self._rerun(runner, table, question, hook,
+                                           handler))
 
     def _rerun(self, runner, table: DataFrame, question: str, hook,
                handler: EffectHandler):
@@ -152,12 +158,14 @@ class ReflectEngine:
             for engine in engines:
                 engine.prompt_hook = hook
             with span("vote_run", method="s-vote", n=runner.n):
-                results = [driver.run([engine])[0] for engine in engines]
+                results = []
+                for engine in engines:
+                    results += yield from driver.steps([engine])
             return runner.tally(results)
         engine = runner.engine_for(table, question)
         engine.prompt_hook = hook
         with span("agent_run", trace_id=None) as root:
             if root is not None:
                 root.set(question=question[:120])
-            (result,) = driver.run([engine])
+            (result,) = yield from driver.steps([engine])
             return result

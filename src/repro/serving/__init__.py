@@ -7,7 +7,7 @@ concurrent per-request agents (:mod:`~repro.serving.pool`), a
 content-fingerprinted LRU/TTL answer cache (:mod:`~repro.serving.cache`),
 per-request timeout/retry with graceful degradation and deterministic
 backoff (:mod:`~repro.serving.policy`), an optional reflexion rung
-(:class:`~repro.serving.policy.ReflectionRung` over :mod:`repro.reflect`,
+(:class:`~repro.serving.ladder.ReflectionRung` over :mod:`repro.reflect`,
 armed with ``reflect=``), a per-backend circuit breaker
 (:mod:`~repro.serving.breaker`), serving metrics
 (:mod:`~repro.serving.metrics`), and a batched evaluation façade
@@ -23,14 +23,9 @@ from repro.serving.batch import BatchEvaluator
 from repro.serving.breaker import BreakerConfig, CircuitBreaker
 from repro.serving.cache import AnswerCache, CachedAnswer, request_fingerprint
 from repro.serving.daemon import ServeDaemon
+from repro.serving.ladder import ReflectionRung
 from repro.serving.metrics import ServingMetrics, percentile
-from repro.serving.policy import (
-    DeadlineModel,
-    ReflectionRung,
-    ReflectPolicy,
-    RetryPolicy,
-    classify_failure,
-)
+from repro.serving.policy import ReflectPolicy, RetryPolicy, classify_failure
 from repro.serving.pool import WorkerPool
 from repro.serving.request import (
     OUTCOMES,
@@ -51,7 +46,6 @@ __all__ = [
     "CachedAnswer",
     "request_fingerprint",
     "RetryPolicy",
-    "DeadlineModel",
     "ReflectPolicy",
     "ReflectionRung",
     "classify_failure",

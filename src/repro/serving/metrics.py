@@ -55,7 +55,6 @@ class ServingMetrics:
         self._backoff_seconds = r.counter("serving.backoff_seconds")
         self._outcomes = r.counter("serving.outcomes")
         self._rejections = r.counter("serving.rejections")
-        self._deadline_unattached = r.counter("serving.deadline_unattached")
         self._observer_errors = r.counter("serving.observer_errors")
         self._latency = r.histogram("serving.latency_seconds")
         self._first_submit: float | None = None
@@ -110,14 +109,6 @@ class ServingMetrics:
     def record_rejection(self) -> None:
         """Account one request shed by admission control."""
         self._rejections.inc()
-
-    def record_deadline_unattached(self) -> None:
-        """Account one attempt whose runner could not carry a deadline.
-
-        A non-zero count means requests are running without their
-        configured timeout — loud enough to alarm on.
-        """
-        self._deadline_unattached.inc()
 
     def record_observer_error(self) -> None:
         """Account one exception swallowed from an on_complete observer."""
@@ -217,10 +208,6 @@ class ServingMetrics:
         return int(self._rejections.total())
 
     @property
-    def deadline_unattached(self) -> int:
-        return int(self._deadline_unattached.total())
-
-    @property
     def observer_errors(self) -> int:
         return int(self._observer_errors.total())
 
@@ -289,7 +276,6 @@ class ServingMetrics:
             "breaker_closed": self.breaker_closed,
             "breaker_rejections": self.breaker_rejections,
             "rejections": self.rejections,
-            "deadline_unattached": self.deadline_unattached,
             "observer_errors": self.observer_errors,
             "backoffs": self.backoffs,
             "backoff_seconds": round(self.backoff_seconds, 6),

@@ -9,8 +9,8 @@ The pool is a thin shell over :class:`~repro.serving.ladder.RequestLadder`
 (cache, breaker, retries, reflexion and degraded rungs, classification).
 It keeps only its own substrate: the bounded queue, the worker threads,
 listener-based coalescing, and a pump that performs the ladder's effects
-inline on the worker thread — attempts as blocking runner calls, backoff
-as ``sleep``.
+inline on the worker thread — each ``Run`` through an
+:class:`~repro.engine.EffectHandler`'s ``pump``, backoff as ``sleep``.
 
 Determinism: each attempt builds a fresh runner from the spec with a seed
 derived only from the request seed and attempt number, so responses do not
@@ -26,10 +26,11 @@ from __future__ import annotations
 import threading
 import time
 
+from repro.engine.driver import EffectHandler
 from repro.errors import QueueClosedError, ServingError
 from repro.serving.breaker import BreakerConfig
 from repro.serving.cache import AnswerCache, request_fingerprint
-from repro.serving.ladder import Attempt, Backoff, RequestLadder
+from repro.serving.ladder import Backoff, RequestLadder
 from repro.serving.metrics import ServingMetrics
 from repro.serving.policy import ReflectPolicy, RetryPolicy
 from repro.serving.request import (
@@ -51,8 +52,8 @@ class WorkerPool(RequestLadder):
     ``tracer``, ``breakers``, ``telemetry``, ``reflect``) are the
     :class:`~repro.serving.ladder.RequestLadder`'s; an ``AnswerCache``
     also enables in-flight request coalescing.  ``batch_scheduler=True``
-    drives voted runners' chains through the batched chain driver
-    (coalesced model calls).
+    runs each s-vote attempt's chains as one tick loop (coalesced model
+    calls) instead of one loop per chain.
 
     Use as a context manager, or call :meth:`start` / :meth:`shutdown`.
     """
@@ -198,21 +199,13 @@ class WorkerPool(RequestLadder):
             except StopIteration as stop:
                 return stop.value
             try:
-                if isinstance(effect, Attempt):
-                    value = self._run_attempt(effect.request, effect.seed)
-                elif isinstance(effect, Backoff):
+                if isinstance(effect, Backoff):
                     value = self._sleep(effect.delay)
                 else:
-                    value = effect.call()
+                    value = effect.perform(EffectHandler)
                 resume = steps.send
             except BaseException as exc:
                 # Back into the ladder, which handles what it can and
                 # re-raises the rest (cancellation too) once its spans
                 # are closed.
                 resume, value = steps.throw, exc
-
-    def _run_attempt(self, request: TQARequest, seed: int):
-        runner = self.spec.build(seed)
-        if self.batch_scheduler and hasattr(runner, "use_scheduler"):
-            runner.use_scheduler = True
-        return self._run_blocking(runner, request, self.policy.deadline())

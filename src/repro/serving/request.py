@@ -28,7 +28,7 @@ __all__ = ["TQARequest", "TQAResponse", "PendingResponse", "RequestQueue",
 #: Every response carries exactly one: ``ok`` (first attempt succeeded),
 #: ``retried`` (a re-seeded attempt succeeded), ``reflected`` (the
 #: reflexion rung improved on what the attempts produced — see
-#: :class:`repro.serving.policy.ReflectionRung`), ``degraded`` (all
+#: :class:`repro.serving.ladder.ReflectionRung`), ``degraded`` (all
 #: attempts failed; the answer is the forced-direct fallback),
 #: ``deadline_exceeded`` (every rung, including degradation, was cut off
 #: by the request deadline), ``error_transient`` / ``error_permanent``

@@ -760,12 +760,12 @@ def _check_statement(stmt: SelectStatement,
     SQLite binds every name when it prepares a statement, so a query over
     an empty table fails as it does over a full one; the interpreter only
     meets a name when it evaluates a row.  The walk follows the
-    executor's pipeline (ON, WHERE, GROUP BY, HAVING, select list, ORDER
-    BY) and its alias rules, so a statement that fails on its first row
-    fails here with the same error.  It also refuses, with SQLite's
-    messages, two statements the interpreter would run: HAVING on a
-    query that does not aggregate, and a qualifier that names neither
-    the FROM table nor its alias.
+    executor's alias rules and SQLite's bind order (select list, the
+    non-aggregate HAVING refusal, HAVING, WHERE, ON, ORDER BY, GROUP
+    BY), so a statement with several errors names the one SQLite names.
+    It also refuses, with SQLite's messages, two statements the
+    interpreter would run: HAVING on a query that does not aggregate,
+    and a qualifier that names neither the FROM table nor its alias.
     """
     parts = [(stmt.table_alias or stmt.table,
               resolve_table(stmt.table, tables))]
@@ -777,15 +777,27 @@ def _check_statement(stmt: SelectStatement,
                   for position in range(len(stmt.joins))]
     except TableError:
         return  # the join's own columns fail before any expression runs
-    for join, shape in zip(stmt.joins, shapes):
-        _check_expression(join.on, shape, group=False)
     shape = shapes[-1] if shapes else FrameShape(parts[0][1],
                                                  source=parts[0][0])
-    if stmt.where is not None:
-        _check_expression(stmt.where, shape, group=False)
     items = expand_star(stmt, shape.frame, joined=shape.joined)
     aliases = {item.alias: item.expression for item in items if item.alias}
     grouped = is_aggregate_query(stmt)
+    for item in items:
+        _check_expression(item.expression, shape, group=grouped)
+    if stmt.having is not None:
+        if not grouped:
+            raise SQLRuntimeError("HAVING clause on a non-aggregate query")
+        _check_expression(resolve_aliases(stmt.having, aliases), shape,
+                          group=True)
+    if stmt.where is not None:
+        _check_expression(stmt.where, shape, group=False)
+    for join, join_shape in zip(stmt.joins, shapes):
+        _check_expression(join.on, join_shape, group=False)
+    for order in stmt.order_by:
+        expr = order.expression
+        if not (isinstance(expr, ColumnRef) and expr.table is None
+                and expr.name in aliases):
+            _check_expression(expr, shape, group=grouped)
     if grouped:
         for key in stmt.group_by:
             key = resolve_group_key(key, shape.frame, aliases)
@@ -796,19 +808,6 @@ def _check_statement(stmt: SelectStatement,
             else:
                 _check_qualifier(key, shape)
                 shape.frame.column(key.name)
-        if stmt.having is not None:
-            _check_expression(resolve_aliases(stmt.having, aliases), shape,
-                              group=True)
-    for item in items:
-        _check_expression(item.expression, shape, group=grouped)
-    if stmt.having is not None and not grouped:
-        # After the select list, where SQLite refuses it too.
-        raise SQLRuntimeError("HAVING clause on a non-aggregate query")
-    for order in stmt.order_by:
-        expr = order.expression
-        if not (isinstance(expr, ColumnRef) and expr.table is None
-                and expr.name in aliases):
-            _check_expression(expr, shape, group=grouped)
 
 
 # --- entry point -------------------------------------------------------------

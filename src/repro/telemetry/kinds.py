@@ -62,12 +62,10 @@ EVENT_KINDS = frozenset({
     "serving_breaker_reject",
     "serving_breaker_transition",
     "serving_complete",
-    # Async serving core events (repro.aio.server) and the deadline-seam
-    # alarm shared with the pool.
+    # Async serving core events (repro.aio.server).
     "serving_admit",
     "serving_rejected",
-    "serving_deadline_unattached",
-    # Reflexion rung (repro.serving.policy.ReflectionRung).
+    # Reflexion rung (repro.serving.ladder.ReflectionRung).
     "serving_reflect",
 })
 

@@ -4,9 +4,11 @@ The async serving core replaces the thread pool's substrate, not its
 semantics.  For every request the two paths must return bit-identical
 responses — same answers, iterations, forcing flags, handling events,
 attempt counts, error strings and outcome classes — across the whole
-outcome taxonomy: ``ok``, ``degraded``, ``deadline_exceeded`` and both
-error classes.  (``rejected`` is async-only by design — the pool buffers
-instead of shedding — and is pinned separately below.)
+outcome taxonomy: ``ok``, ``reflected``, ``degraded``,
+``deadline_exceeded`` and both error classes, and across every voter.
+(``rejected`` is async-only by design — the pool buffers instead of
+shedding — and is pinned separately below.)  Every request runs on the
+event loop: none needs a worker thread.
 """
 
 import asyncio
@@ -33,25 +35,31 @@ def wikitq_parity():
     return generate_dataset("wikitq", size=220, seed=77)
 
 
+@pytest.fixture(scope="module")
+def tabfact_parity():
+    return generate_dataset("tabfact", size=120, seed=77)
+
+
 def pool_responses(spec, bench, *, policy=None, batch_scheduler=False,
-                   workers=8, seed=1):
+                   workers=8, seed=1, reflect=None):
     with WorkerPool(spec, workers=workers, policy=policy,
                     batch_scheduler=batch_scheduler,
-                    queue_capacity=1024,
+                    queue_capacity=1024, reflect=reflect,
                     sleep=lambda _delay: None) as pool:
         slots = [pool.submit(ex.table, ex.question, seed=seed, uid=ex.uid)
                  for ex in bench.examples]
         return [slot.result(timeout=60) for slot in slots]
 
 
-def async_responses(spec, bench, *, policy=None, max_inflight=16, seed=1):
+def async_responses(spec, bench, *, policy=None, max_inflight=16, seed=1,
+                    reflect=None):
     async def _sleep(_delay):
         return None
 
     async def scenario():
         async with AsyncServer(spec, max_inflight=max_inflight,
                                max_queued=None, policy=policy,
-                               sleep=_sleep) as server:
+                               reflect=reflect, sleep=_sleep) as server:
             tasks = [asyncio.create_task(server.answer(TQARequest(
                 table=ex.table, question=ex.question, seed=seed,
                 uid=ex.uid))) for ex in bench.examples]
@@ -96,6 +104,61 @@ class TestHealthyParity:
         expected = pool_responses(spec, subset, batch_scheduler=True)
         actual = async_responses(spec, subset)
         assert_bit_identical(expected, actual)
+
+
+class TestBranchingVoterParity:
+    """Tree and execution voting: one round trip per branch or step, in
+    the same order on both servers, so the same draws and votes."""
+
+    @pytest.mark.parametrize("voting", ["t-vote", "e-vote"])
+    @pytest.mark.parametrize("suite", ["wikitq_parity", "tabfact_parity"])
+    def test_suite_bit_identical(self, voting, suite, request):
+        bench = request.getfixturevalue(suite)
+        spec = AgentSpec(bank=bench.bank, voting=voting)
+        expected = pool_responses(spec, bench)
+        actual = async_responses(spec, bench)
+        assert_bit_identical(expected, actual)
+        assert {r.outcome for r in actual} == {"ok"}
+
+    @pytest.mark.parametrize("voting", ["t-vote", "e-vote"])
+    @pytest.mark.parametrize("suite", ["wikitq_small", "tabfact_small"])
+    def test_expired_deadlines_degrade_identically(self, voting, suite,
+                                                   request):
+        bench = request.getfixturevalue(suite)
+        spec = AgentSpec(bank=bench.bank, voting=voting)
+        policy = RetryPolicy(timeout=1e-9, max_retries=1)
+        expected = pool_responses(spec, bench, policy=policy, workers=4)
+        actual = async_responses(spec, bench, policy=policy,
+                                 max_inflight=8)
+        assert_bit_identical(expected, actual, check_errors=False)
+        assert {r.outcome for r in actual} == {"degraded"}
+
+
+class TestNothingLeavesTheLoop:
+    def test_no_request_needs_a_thread(self, wikitq_small, monkeypatch):
+        """Voted, reflected and degraded requests all run on the event
+        loop: with ``asyncio.to_thread`` refusing, the async server still
+        answers as the pool does."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work handed to a thread")
+
+        monkeypatch.setattr(asyncio, "to_thread", refuse)
+        bank = wikitq_small.bank
+        cases = [
+            (AgentSpec(bank=bank, voting="t-vote"), {}, {"ok"}),
+            (AgentSpec(bank=bank, voting="e-vote"), {}, {"ok"}),
+            (AgentSpec(bank=bank), {"reflect": True}, {"ok", "reflected"}),
+            (AgentSpec(bank=bank, voting="t-vote"),
+             {"policy": RetryPolicy(timeout=1e-9, max_retries=0)},
+             {"degraded"}),
+        ]
+        for spec, kwargs, outcomes in cases:
+            expected = pool_responses(spec, wikitq_small, workers=4,
+                                      **kwargs)
+            actual = async_responses(spec, wikitq_small, max_inflight=8,
+                                     **kwargs)
+            assert_bit_identical(expected, actual, check_errors=False)
+            assert {r.outcome for r in actual} == outcomes
 
 
 class TestDegradedParity:

@@ -4,11 +4,10 @@ The ladder itself (retries, degradation, classification) is pinned
 against the thread pool in ``test_parity.py``; here we exercise what the
 pool does not have — the bounded in-flight budget, typed rejection,
 fair-queue admission order, coalescing on one event loop, and the
-deadline seam binding to chain runners without a wrappable ``model``.
+deadline on the handler seam.
 """
 
 import asyncio
-import threading
 
 import pytest
 
@@ -34,25 +33,30 @@ def run(coro):
     return asyncio.run(coro)
 
 
-class GatedSpec:
-    """A spec whose runners block in a worker thread until released."""
+class GatedModel(AsyncLanguageModel):
+    """Answers as the sync ``inner`` model once ``release`` is set."""
 
-    def __init__(self, inner, release: threading.Event):
+    def __init__(self, inner, release: asyncio.Event):
+        self.inner = inner
+        self.release = release
+
+    async def complete(self, prompt, *, temperature=0.0, n=1):
+        await self.release.wait()
+        return self.inner.complete(prompt, temperature=temperature, n=n)
+
+
+class GatedSpec:
+    """A spec whose runners' model calls await until released."""
+
+    def __init__(self, inner, release: asyncio.Event):
         self.inner = inner
         self.release = release
         self.config_key = inner.config_key
 
     def build(self, seed):
-        inner_runner = self.inner.build(seed)
-        release = self.release
-
-        class Blocked:
-            def run(self, table, question):
-                # Runs inside asyncio.to_thread (no engine_for).
-                release.wait()
-                return inner_runner.run(table, question)
-
-        return Blocked()
+        runner = self.inner.build(seed)
+        runner.model = GatedModel(runner.model, self.release)
+        return runner
 
     def build_forced(self, seed):
         return self.inner.build_forced(seed)
@@ -197,7 +201,7 @@ class TestAdmissionControl:
         """Closing with requests parked in the fair queue wakes them
         with an error instead of leaving them suspended forever."""
         spec = AgentSpec(bank=wikitq_small.bank)
-        release = threading.Event()
+        release = asyncio.Event()
         gated = GatedSpec(spec, release)
 
         async def scenario():
@@ -306,7 +310,7 @@ class TestCachingAndCoalescing:
     def test_duplicates_outlive_a_cancelled_primary(self, wikitq_small):
         """Cancelling the primary's caller does not cancel the callers
         coalesced onto it: the first duplicate becomes the primary."""
-        release = threading.Event()
+        release = asyncio.Event()
         spec = GatedSpec(AgentSpec(bank=wikitq_small.bank), release)
         request = requests_for(wikitq_small, 1)[0]
 
@@ -329,7 +333,7 @@ class TestCachingAndCoalescing:
         assert second.coalesced and second.answer == first.answer
 
     def test_a_cancelled_duplicate_still_raises(self, wikitq_small):
-        release = threading.Event()
+        release = asyncio.Event()
         spec = GatedSpec(AgentSpec(bank=wikitq_small.bank), release)
         request = requests_for(wikitq_small, 1)[0]
 
@@ -367,9 +371,6 @@ class TestDeadlinesAndFailures:
         assert response.outcome == "degraded"
         assert response.degraded and response.forced
         assert metrics.timeouts == 2        # both attempts timed out
-        # Chain runners carry the deadline on the handler seam — the
-        # unattached alarm must stay silent.
-        assert metrics.deadline_unattached == 0
 
     def test_deadline_exceeded_without_degradation(self, wikitq_small):
         spec = AgentSpec(bank=wikitq_small.bank)
@@ -388,8 +389,9 @@ class TestDeadlinesAndFailures:
         assert response.answer == []
 
     def test_voted_chain_runners_carry_deadlines(self, wikitq_small):
-        """s-vote runners have no wrappable ``model`` attribute in the
-        async path — the handler seam must still enforce the deadline."""
+        """s-vote attempts run their chains in one tick loop on the
+        async server — the handler seam must still enforce the
+        deadline."""
         spec = AgentSpec(bank=wikitq_small.bank, voting="s-vote",
                          samples=3)
         metrics = ServingMetrics()
@@ -405,7 +407,6 @@ class TestDeadlinesAndFailures:
         response = run(scenario())
         assert response.outcome == "degraded"
         assert metrics.timeouts == 1
-        assert metrics.deadline_unattached == 0
 
     def test_cancelled_request_closes_its_spans(self, wikitq_small):
         """Cancel a request while its model call awaits: its caller sees
@@ -439,10 +440,10 @@ class TestDeadlinesAndFailures:
         assert root.status == "error" and attempt.status == "error"
         assert attempt.parent_id == root.span_id
 
-    def test_tvote_runner_reports_unattached_deadline(self, wikitq_small):
-        """Tree voting runs as a blocking thread-side runner; its model
-        wrap works, so unattached stays zero — but a runner with neither
-        seam must trip the loud metric."""
+    def test_runner_without_a_step_body_degrades(self, wikitq_small):
+        """The ladder runs every attempt as its runner's step body; a
+        runner with only a blocking ``run`` fails each attempt, and the
+        degraded rung answers."""
         spec = AgentSpec(bank=wikitq_small.bank)
         metrics = ServingMetrics()
 
@@ -469,5 +470,7 @@ class TestDeadlinesAndFailures:
                     requests_for(wikitq_small, 1)[0])
 
         response = run(scenario())
-        assert response.outcome == "ok"
-        assert metrics.deadline_unattached == 1
+        assert response.outcome == "degraded"
+        assert response.attempts == 2 and response.forced
+        assert "AttributeError" in response.error
+        assert metrics.timeouts == 0

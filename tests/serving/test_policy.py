@@ -1,11 +1,16 @@
-"""Tests for the retry policy and the deadline-enforcing model wrapper."""
+"""Tests for the retry policy and the attempt deadline on the handler."""
+
+import asyncio
 
 import pytest
 
+from repro.aio import AsyncEffectHandler
+from repro.engine import EffectHandler
 from repro.errors import ServingTimeoutError
-from repro.llm.base import Completion, LanguageModel
+from repro.executors import default_registry
+from repro.llm.base import Completion, CompletionRequest, LanguageModel
 from repro.retry import ExponentialBackoff
-from repro.serving import DeadlineModel, RetryPolicy
+from repro.serving import RetryPolicy
 
 
 class InstantModel(LanguageModel):
@@ -79,39 +84,37 @@ class TestRetryPolicy:
             RetryPolicy(timeout=0.0)
 
 
-class TestDeadlineModel:
-    def test_passes_through_before_deadline(self):
+def round_trip(handler_class, inner, clock):
+    """One ``model_batch`` through a handler whose deadline is 10.0."""
+    handler = handler_class(inner, default_registry(), deadline=10.0,
+                            clock=clock)
+    batches = handler.model_batch([CompletionRequest(prompt="p")])
+    if handler_class is AsyncEffectHandler:
+        return asyncio.run(batches)
+    return batches
+
+
+@pytest.mark.parametrize("handler_class", [EffectHandler,
+                                           AsyncEffectHandler],
+                         ids=["sync", "awaited"])
+class TestHandlerDeadline:
+    def test_passes_through_before_deadline(self, handler_class):
         inner = InstantModel()
         now = [0.0]
-        model = DeadlineModel(inner, 10.0, clock=lambda: now[0])
-        assert model.complete("p")[0].text.endswith("```ok```.")
+        (batch,) = round_trip(handler_class, inner, lambda: now[0])
+        assert batch[0].text.endswith("```ok```.")
         assert inner.calls == 1
 
-    def test_refuses_after_deadline(self):
+    def test_refuses_after_deadline(self, handler_class):
         inner = InstantModel()
         now = [11.0]
-        model = DeadlineModel(inner, 10.0, clock=lambda: now[0])
         with pytest.raises(ServingTimeoutError):
-            model.complete("p")
+            round_trip(handler_class, inner, lambda: now[0])
         assert inner.calls == 0   # refused before calling the model
 
-    def test_catches_slow_completion(self):
+    def test_catches_slow_completion(self, handler_class):
         inner = InstantModel()
         ticks = iter([9.0, 12.0])   # before-check passes, after-check fails
-        model = DeadlineModel(inner, 10.0, clock=lambda: next(ticks))
         with pytest.raises(ServingTimeoutError):
-            model.complete("p")
+            round_trip(handler_class, inner, lambda: next(ticks))
         assert inner.calls == 1
-
-    def test_delegates_identity(self):
-        inner = InstantModel()
-        model = DeadlineModel(inner, 10.0)
-        assert model.name == "instant"
-        assert model.supports_logprobs is False
-
-    def test_fork_keeps_deadline(self):
-        inner = InstantModel()
-        now = [11.0]
-        fork = DeadlineModel(inner, 10.0, clock=lambda: now[0]).fork(7)
-        with pytest.raises(ServingTimeoutError):
-            fork.complete("p")

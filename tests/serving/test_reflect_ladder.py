@@ -387,8 +387,13 @@ class TestAsyncLadderParity:
                 old.error, old.outcome)
 
 
-class TrippingRunner:
-    def run(self, table, question):
+class TrippingModel(LanguageModel):
+    """A backend client behind its own open circuit breaker."""
+
+    name = "tripping"
+    supports_logprobs = False
+
+    def complete(self, prompt, *, temperature=0.0, n=1):
         raise CircuitOpenError("downstream circuit open")
 
 
@@ -398,7 +403,7 @@ class TrippingSpec:
     config_key = "tripping"
 
     def build(self, seed):
-        return TrippingRunner()
+        return ReActTableAgent(TrippingModel())
 
     def build_forced(self, seed):
         return ReActTableAgent(ScriptedModel([DEGRADED]),

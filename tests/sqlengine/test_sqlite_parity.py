@@ -143,6 +143,13 @@ BINDING_QUERIES = [
     "SELECT T0.x FROM T0 a",
     "SELECT T0.x FROM T0",
     "SELECT a.x FROM T0 a",
+    # Two errors: SQLite binds the select list, then the non-aggregate
+    # HAVING refusal, HAVING, WHERE, ON, ORDER BY and GROUP BY.
+    "SELECT zz FROM T0 WHERE yy > 1",
+    "SELECT x FROM T0 WHERE zz > 1 HAVING x > 1",
+    "SELECT COUNT(*) FROM T0 WHERE zz > 1 HAVING yy > 1",
+    "SELECT T0.x FROM T0 JOIN T1 ON T0.qq = T1.x WHERE yy > 1",
+    "SELECT COUNT(*) FROM T0 GROUP BY zz ORDER BY yy",
 ]
 
 
@@ -162,11 +169,13 @@ def _typed_rows_or_message(run, sql: str, catalog: dict, failures: tuple):
 @pytest.mark.parametrize("vector", ["1", "0"], ids=["vector", "interpreted"])
 def test_statements_bind_as_in_sqlite(sql, rows, vector, monkeypatch):
     """TOTAL is always a float, 0.0 over no values; HAVING needs an
-    aggregate query; a qualifier must name the FROM table or its alias.
-    Same rows and types, or the same message, over a full and an empty
-    table."""
+    aggregate query; a qualifier must name the FROM table or its alias;
+    of two bad names, the one SQLite binds first is reported.  Same rows
+    and types, or the same message, over a full and an empty table."""
     monkeypatch.setenv("REPRO_SQL_VECTOR", vector)
-    catalog = {"T0": DataFrame.from_rows(rows, ["x", "k"], name="T0")}
+    catalog = {"T0": DataFrame.from_rows(rows, ["x", "k"], name="T0"),
+               "T1": DataFrame.from_rows([(1, "a")], ["x", "k"],
+                                         name="T1")}
     native = _typed_rows_or_message(execute_sql, sql, catalog, SQLError)
     oracle = _typed_rows_or_message(run_sqlite_query, sql, catalog,
                                     sqlite3.Error)

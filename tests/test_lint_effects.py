@@ -79,6 +79,22 @@ def test_allowed_paths_are_skipped(tmp_path):
     assert violations[0].startswith("core/agent.py")
 
 
+def test_serving_policy_is_not_a_model_boundary(tmp_path):
+    """The attempt deadline lives on the handler: a model wrapper in the
+    serving policy calling ``complete`` directly is a violation."""
+    lint = load_lint()
+    wrapper = ("class Wrapper:\n"
+               "    def complete(self, prompt):\n"
+               "        return self.inner.complete(prompt)\n"
+               "    def complete_batch(self, requests):\n"
+               "        return self.inner.complete_batch(requests)\n")
+    (tmp_path / "serving").mkdir()
+    (tmp_path / "serving" / "policy.py").write_text(wrapper)
+    violations = lint.find_violations(root=tmp_path)
+    assert [v.split(": ")[0] for v in violations] == [
+        "serving/policy.py:3", "serving/policy.py:5"]
+
+
 def test_lint_detects_an_engine_stepped_outside_the_tick_loop():
     lint = load_lint()
     lines = [

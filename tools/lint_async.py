@@ -12,9 +12,8 @@ blocking primitives:
 * synchronous ``.complete(`` / ``.complete_batch(`` model calls — the
   loop would block for a whole round-trip; await the
   :class:`repro.aio.adapter.AsyncLanguageModel` protocol instead
-  (``aio/adapter.py`` itself is exempt: it *is* the sync bridge, and
-  it either runs inline against compute-only models or offloads via
-  ``asyncio.to_thread``);
+  (``aio/adapter.py`` itself is exempt: it *is* the sync bridge, which
+  runs compute-only models inline);
 * ``requests.`` / ``urllib.request`` / ``socket.create_connection`` —
   blocking network I/O.
 
@@ -47,9 +46,9 @@ _BLOCKING_PATTERNS: list[tuple[re.Pattern, str]] = [
     (re.compile(r"\.get\(\s*timeout\s*="),
      "blocking .get(timeout=...) (await an asyncio primitive instead)"),
     (re.compile(r"\brequests\.(get|post|request|Session)\b"),
-     "blocking HTTP I/O (use an async client or asyncio.to_thread)"),
+     "blocking HTTP I/O (implement the model as an AsyncLanguageModel)"),
     (re.compile(r"\burllib\.request\b"),
-     "blocking HTTP I/O (use an async client or asyncio.to_thread)"),
+     "blocking HTTP I/O (implement the model as an AsyncLanguageModel)"),
     (re.compile(r"\bsocket\.create_connection\b"),
      "blocking socket I/O (use asyncio streams)"),
 ]

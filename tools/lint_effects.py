@@ -12,7 +12,6 @@ for such call sites outside the allowed homes:
 * ``repro/llm/`` — the model package (wrappers delegate to ``inner``);
 * ``repro/executors/`` — the executor package;
 * ``repro/faults/`` — injector wrappers delegating to wrapped objects;
-* ``repro/serving/policy.py`` — the ``DeadlineModel`` wrapper;
 * ``repro/plans/`` — the gold-plan infrastructure (its ``plan.execute``
   pipeline is not agent I/O, but its helpers drive executors directly);
 * ``repro/aio/adapter.py`` / ``repro/aio/handler.py`` — the async model
@@ -50,7 +49,6 @@ ALLOWED_PREFIXES = (
     "executors/",
     "faults/",
     "plans/",
-    "serving/policy.py",
     "aio/adapter.py",
     "aio/handler.py",
 )
